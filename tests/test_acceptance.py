@@ -8,6 +8,7 @@ truncated variants) is charged against the 60-second budget.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -153,18 +154,27 @@ def test_criterion_6_fas_properties():
         assert elapsed < 30.0, f"suite took {elapsed:.1f}s"
 
 
+def criterion_7_graph() -> tuple[WeightedQuiver, list[str]]:
+    """The seeded N=200, M=600 digraph of criterion 7 and its vertex ids."""
+    rng = random.Random(0x200)
+    n = 200
+    arrows = []
+    while len(arrows) < 600:
+        s, t = rng.randrange(n), rng.randrange(n)
+        if s != t:
+            arrows.append((s, t))
+    weights = [random_nonzero_fraction(rng, span=9) for _ in arrows]
+    return WeightedQuiver(Quiver(n, arrows), weights), [f"v{i}" for i in range(n)]
+
+
+# SHA-256 of feature_matrix_csv for criterion 7's graph, H=3, seed 2024.
+# Any refactor of the feature pipeline must reproduce it byte for byte.
+CRITERION_7_CSV_SHA256 = "0f1978ead362a754811adfc1e733854f069677a309ee0067024195f6b4843e14"
+
+
 def test_criterion_7_pipeline_determinism():
     with criterion("ACCEPTANCE 7 PIPELINE DETERMINISM"):
-        rng = random.Random(0x200)
-        n = 200
-        arrows = []
-        while len(arrows) < 600:
-            s, t = rng.randrange(n), rng.randrange(n)
-            if s != t:
-                arrows.append((s, t))
-        weights = [random_nonzero_fraction(rng, span=9) for _ in arrows]
-        wq = WeightedQuiver(Quiver(n, arrows), weights)
-        ids = [f"v{i}" for i in range(n)]
+        wq, ids = criterion_7_graph()
         start = time.perf_counter()
         serial = feature_matrix(wq, 3, seed=2024, threads=1)
         elapsed = time.perf_counter() - start
@@ -172,6 +182,13 @@ def test_criterion_7_pipeline_determinism():
         assert feature_matrix_csv(serial, ids).encode() == \
             feature_matrix_csv(parallel, ids).encode()
         assert elapsed < 60.0, f"serial run took {elapsed:.1f}s"
+
+
+def test_criterion_7_golden_digest():
+    with criterion("ACCEPTANCE 7 GOLDEN DIGEST"):
+        wq, ids = criterion_7_graph()
+        csv = feature_matrix_csv(feature_matrix(wq, 3, seed=2024), ids)
+        assert hashlib.sha256(csv.encode()).hexdigest() == CRITERION_7_CSV_SHA256
 
 
 def test_criterion_8_float_exact_agreement():
