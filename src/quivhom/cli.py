@@ -118,12 +118,8 @@ def cmd_homology(args) -> int:
 
 def cmd_features(args) -> int:
     wq, ids = _open_edges(args.edges, _epsilon(args))
-    mode, tol = _field_args(args)
-    fm = feature_matrix(wq, args.hops, args.seed, mode, tol, threads=args.threads)
-    print(
-        f"config: hops={args.hops} seed={args.seed} field={mode} tol={tol}",
-        file=sys.stderr,
-    )
+    fm = feature_matrix(wq, args.hops, args.seed, threads=args.threads)
+    print(f"config: hops={args.hops} seed={args.seed} field={EXACT}", file=sys.stderr)
     text = (
         feature_matrix_json(fm, ids) if args.format == "json"
         else feature_matrix_csv(fm, ids)
@@ -138,7 +134,6 @@ def cmd_features(args) -> int:
 def cmd_fas(args) -> int:
     wq, ids = _open_edges(args.edges, _epsilon(args))
     res = berger_shor(wq, args.seed)
-    assert is_acyclic(res.kept.quiver)
     if args.dot is not None:
         _write_text(args.dot, to_dot(wq, ids, feedback=res.feedback))
     total = wq.arrow_count
@@ -201,15 +196,18 @@ def cmd_orient(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, dagify: bool = False) -> None:
     p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-    p.add_argument("--field", choices=["exact", "float"], default="exact",
-                   help="field mode for rank computations")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="pivot tolerance in float mode")
     p.add_argument("--zero-weight-epsilon", default=None, metavar="Q",
                    help="replace zero weights with this positive rational")
     if dagify:
         p.add_argument("--dagify", action="store_true",
                        help="break cycles with the feedback-arc-set pass first")
+
+
+def _add_field(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--field", choices=["exact", "float"], default="exact",
+                   help="field mode for rank computations")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="pivot tolerance in float mode")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homology", help="dim H1 of a weighted edge list")
     p.add_argument("edges", help="edge list path, or - for stdin")
     _add_common(p, dagify=True)
+    _add_field(p)
     p.add_argument("--matrix", action="store_true", help="print the boundary matrix")
     p.add_argument("--kernel-basis", action="store_true",
                    help="print a kernel basis (exact mode)")
@@ -243,6 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fas", help="feedback arc report")
     p.add_argument("edges", help="edge list path, or - for stdin")
     _add_common(p)
+    _add_field(p)
     p.add_argument("--dot", default=None, metavar="PATH",
                    help="write the quiver (feedback arcs dashed) in DOT format")
     p.set_defaults(func=cmd_fas)
@@ -250,6 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force homology table")
     p.add_argument("edges", help="edge list path, or - for stdin")
     _add_common(p, dagify=True)
+    _add_field(p)
     p.add_argument("--n-max", type=int, default=3, help="top chain degree")
     p.add_argument("--ell", type=int, default=None,
                    help="truncate chains by composite path length")

@@ -51,3 +51,9 @@ class ChainCapExceeded(QuivhomError):
 
 class MorphismError(QuivhomError):
     """A quiver/representation morphism failed a compatibility check."""
+
+
+class InvariantError(QuivhomError):
+    """A consistency check failed: the kept arcs of a feedback-arc-set pass
+    formed a cycle, or a boundary squared to a nonzero map (as it does under
+    a weight action that is not multiplicative)."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .errors import InvariantError
 from .quiver import Quiver, WeightedQuiver, topological_order
 
 
@@ -70,7 +71,8 @@ def berger_shor(wq: WeightedQuiver, seed: int) -> FasResult:
         Quiver(n, [q.arrows[a] for a in kept_arrows]),
         [wq.weights[a] for a in kept_arrows],
     )
-    assert topological_order(kept.quiver) is not None, "kept arcs form a cycle"
+    if topological_order(kept.quiver) is None:
+        raise InvariantError("feedback-arc-set pass kept a cycle")
     return FasResult(
         feedback=frozenset(feedback),
         kept=kept,

@@ -14,8 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .fas import berger_shor
-from .homology import boundary1_matrix, scalar_representation
-from .linalg import EXACT
+from .homology import dim_h1
 from .quiver import WeightedQuiver, induced_subquiver, k_hop_vertices
 
 _MASK64 = (1 << 64) - 1
@@ -44,8 +43,6 @@ class FeatureMatrix:
     rows: tuple[tuple[int, ...], ...]
     hops: int
     seed: int
-    mode: str = EXACT
-    tol: float = 1e-9
 
     @property
     def vertex_count(self) -> int:
@@ -57,23 +54,14 @@ def feature_vector(
     v: int,
     hops: int,
     seed: int,
-    mode: str = EXACT,
-    tol: float = 1e-9,
 ) -> tuple[int, ...]:
     """dim H1 of the k-hop DAG around v, for k = 1..hops."""
     if hops < 1:
         raise ValueError("hops must be positive")
-    rep = scalar_representation(mode)
     out: list[int] = []
     for k in range(1, hops + 1):
         sub = induced_subquiver(wq, k_hop_vertices(wq.quiver, v, k))
-        dag = berger_shor(sub.wq, derive_seed(seed, v, k)).kept
-        m = dag.arrow_count
-        if m == 0:
-            out.append(0)
-            continue
-        boundary = boundary1_matrix(dag, rep)
-        out.append(m - boundary.rank(tol))
+        out.append(dim_h1(berger_shor(sub.wq, derive_seed(seed, v, k)).kept))
     return tuple(out)
 
 
@@ -81,8 +69,6 @@ def feature_matrix(
     wq: WeightedQuiver,
     hops: int,
     seed: int,
-    mode: str = EXACT,
-    tol: float = 1e-9,
     threads: int = 1,
 ) -> FeatureMatrix:
     """Feature vectors for every vertex, assembled row-wise.
@@ -93,11 +79,11 @@ def feature_matrix(
     vertices = range(wq.vertex_count)
 
     def one(v: int) -> tuple[int, ...]:
-        return feature_vector(wq, v, hops, seed, mode, tol)
+        return feature_vector(wq, v, hops, seed)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = tuple(pool.map(one, vertices))
     else:
         rows = tuple(one(v) for v in vertices)
-    return FeatureMatrix(rows=rows, hops=hops, seed=seed, mode=mode, tol=tol)
+    return FeatureMatrix(rows=rows, hops=hops, seed=seed)

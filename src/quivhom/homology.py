@@ -4,7 +4,10 @@ Two routes to the same numbers:
 
 * the fast path: dim H1 is the nullity of the degree-1 boundary matrix
   whose column for an arrow u holds -I at the source block and the weight
-  action at the target block (H_n vanishes for n >= 2 on acyclic quivers);
+  action at the target block (H_n vanishes for n >= 2 on acyclic quivers).
+  For a 1-dimensional exact representation that matrix is the incidence
+  matrix of a gain graph, and the nullity is read off a union-find
+  instead of an elimination;
 * a brute-force chain complex over the nondegenerate chains of the free
   category, optionally truncated by composite path length, which recomputes
   the same homology from first principles and is used to cross-check the
@@ -17,7 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import CyclicQuiverError, FieldModeError, MorphismError, WeightError
+from .errors import (
+    CyclicQuiverError,
+    FieldModeError,
+    InvariantError,
+    MorphismError,
+    WeightError,
+)
 from .linalg import EXACT, FLOAT, DenseMatrix
 from .quiver import (
     NChain,
@@ -30,6 +39,8 @@ from .quiver import (
 
 # A block is a small dense d x d matrix stored as nested tuples.
 _Block = tuple
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -70,16 +81,22 @@ def _require_acyclic(wq: WeightedQuiver) -> None:
         )
 
 
+def _invertible_action(rep: Representation, w: Fraction) -> DenseMatrix:
+    """The action of w, verified invertible (a 1 x 1 action needs only a
+    nonzero entry, so no rank is computed for it)."""
+    m = rep.action(w)
+    singular = m.at(0, 0) == 0 if rep.dim == 1 else m.rank() != rep.dim
+    if singular:
+        raise WeightError(f"action of weight {w} is not invertible")
+    return m
+
+
 def _check_invertible(rep: Representation, weights: Sequence[Fraction]) -> dict[Fraction, DenseMatrix]:
     """Action matrices for each distinct weight, verified invertible."""
     actions: dict[Fraction, DenseMatrix] = {}
     for w in weights:
-        if w in actions:
-            continue
-        m = rep.action(w)
-        if m.rank() != rep.dim:
-            raise WeightError(f"action of weight {w} is not invertible")
-        actions[w] = m
+        if w not in actions:
+            actions[w] = _invertible_action(rep, w)
     return actions
 
 
@@ -118,9 +135,68 @@ def boundary1_matrix(wq: WeightedQuiver, rep: Representation | None = None) -> D
 
 
 def dim_h1(wq: WeightedQuiver, rep: Representation | None = None, tol: float = 1e-9) -> int:
-    """dim H1(Q, w; M) = columns - rank of the degree-1 boundary matrix."""
+    """dim H1(Q, w; M) = columns - rank of the degree-1 boundary matrix.
+
+    A 1-dimensional exact representation takes the gain-graph route
+    (no matrix is built); any other is ranked, float mode with ``tol``.
+    """
+    rep = rep or scalar_representation()
+    if rep.dim == 1 and rep.mode == EXACT:
+        _require_acyclic(wq)
+        gains = [_invertible_action(rep, w).at(0, 0) for w in wq.weights]
+        q = wq.quiver
+        return q.arrow_count - q.vertex_count + _balanced_components(
+            q.vertex_count, q.arrows, gains
+        )
     m = boundary1_matrix(wq, rep)
     return m.cols - m.rank(tol)
+
+
+def _balanced_components(n: int, arrows: Sequence[tuple[int, int]], gains: Sequence[Fraction]) -> int:
+    """Weakly connected components whose gains are consistent.
+
+    The boundary column of arrow s -> t with gain g is -e_s + g e_t, so a
+    left-kernel vector y satisfies y_s = g y_t on every arrow. On a
+    component those equations have a one-dimensional solution space when
+    every cycle of the underlying graph has gain product 1 (balanced) and
+    only y = 0 otherwise, so the boundary rank is n - (balanced count)
+    (Zaslavsky, "Biased graphs II", 1991). A union-find with path
+    compression and union by size stores y_v / y_parent(v) exactly.
+    """
+    parent = list(range(n))
+    ratio = [_ONE] * n
+    size = [1] * n
+    balanced = [True] * n
+
+    def find(v: int) -> tuple[int, Fraction]:
+        """(root, y_v / y_root), pointing every vertex on the way at the root."""
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        acc = _ONE
+        for u in reversed(path):
+            acc = ratio[u] * acc
+            ratio[u] = acc
+            parent[u] = v
+        return v, acc
+
+    for (s, t), g in zip(arrows, gains):
+        rs, ps = find(s)
+        rt, pt = find(t)
+        if rs == rt:
+            if balanced[rs] and ps != g * pt:
+                balanced[rs] = False
+            continue
+        # y_s = g y_t with y_s = ps y_rs and y_t = pt y_rt
+        r = g * pt / ps  # y_rs / y_rt
+        if size[rs] > size[rt]:
+            rs, rt, r = rt, rs, 1 / r
+        parent[rs] = rt
+        ratio[rs] = r
+        size[rt] += size[rs]
+        balanced[rt] = balanced[rt] and balanced[rs]
+    return sum(1 for v in range(n) if parent[v] == v and balanced[v])
 
 
 def h1_kernel_basis(
@@ -263,7 +339,7 @@ def build_chain_complex(
 
 
 def _verify_square_zero(sparse, d: int, mode: str) -> None:
-    """Assert boundary(n-1) @ boundary(n) == 0, column by column.
+    """Check boundary(n-1) @ boundary(n) == 0, column by column.
 
     Exact mode demands literal zeros; float mode allows rounding noise
     (float(a)*float(b) need not equal float(a*b))."""
@@ -281,7 +357,7 @@ def _verify_square_zero(sparse, d: int, mode: str) -> None:
                 else:
                     ok = total.is_zero()
                 if not ok:
-                    raise AssertionError(
+                    raise InvariantError(
                         f"boundary squared nonzero at degree {n}, column {ci}"
                     )
 

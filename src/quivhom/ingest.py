@@ -239,8 +239,7 @@ def feature_matrix_json(fm: FeatureMatrix, ids: Sequence[str]) -> str:
         "config": {
             "hops": fm.hops,
             "seed": fm.seed,
-            "field_mode": fm.mode,
-            "tolerance": fm.tol,
+            "field_mode": "exact",
             "tool_version": __version__,
         },
         "vertices": list(ids),

@@ -96,7 +96,16 @@ def test_features_json_has_config(edges_file, tmp_path):
                  "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["config"]["seed"] == 3
+    assert doc["config"]["field_mode"] == "exact"
+    assert "tolerance" not in doc["config"]
     assert doc["vertices"] == ["x0", "x1", "x2"]
+
+
+@pytest.mark.parametrize("flag", [["--field", "float"], ["--tol", "1e-6"]])
+def test_features_is_exact_only(edges_file, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["features", edges_file(TRIANGLE_COMMUTING)] + flag)
+    assert exc.value.code == 2
 
 
 def test_features_star_row(edges_file, capsys):
@@ -167,6 +176,16 @@ def test_orient_subcommand(edges_file, capsys):
     src = edges_file("7,3\n1,2\n", name="pairs.csv")
     assert main(["orient", src]) == 0
     assert capsys.readouterr().out == "3,7,4\n1,2,1\n"
+
+
+@pytest.mark.parametrize("command", ["fas", "features"])
+def test_broken_invariant_exits_2_without_traceback(edges_file, capsys, monkeypatch, command):
+    # a feedback-arc-set pass that claims its kept arcs are cyclic
+    monkeypatch.setattr("quivhom.fas.topological_order", lambda q: None)
+    assert main([command, edges_file(TRIANGLE_COMMUTING)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_unknown_flag_is_an_error(edges_file):

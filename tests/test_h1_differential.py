@@ -1,0 +1,134 @@
+"""Differential tests: dim H1 three ways.
+
+``dim_h1`` takes the gain-graph union-find for 1-dimensional exact
+representations and the boundary-matrix rank otherwise. Both are checked
+against the nullity of ``boundary1_matrix`` and against H1 of the
+brute-force chain complex, which shares no code with the union-find.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from quivhom import (
+    CyclicQuiverError,
+    DenseMatrix,
+    Quiver,
+    WeightedQuiver,
+    WeightError,
+    boundary1_matrix,
+    build_chain_complex,
+    dim_h1,
+    homology_dims,
+)
+from quivhom.homology import Representation
+
+HUGE = Fraction(2**200, 3)
+TINY = Fraction(1, 2**200)
+POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3, 5),
+        HUGE, -HUGE, TINY, 1 / HUGE]
+
+
+def random_dag(rng: random.Random) -> WeightedQuiver:
+    """A random DAG with isolated vertices, parallel arrows and weights from
+    2^200/3 down to 1/2^200. Most arrows take the ratio of random vertex
+    potentials, so that whole components are often balanced; the rest
+    take a pool weight, which usually breaks the balance."""
+    n = rng.randint(1, 7)
+    isolated = rng.randint(0, 2)
+    order = list(range(n + isolated))
+    rng.shuffle(order)
+    potential = [rng.choice(POOL) for _ in order]
+    unbalancing = rng.choice([0.0, 0.1, 0.5])
+    arrows, weights = [], []
+    if n >= 2:
+        for _ in range(rng.randint(0, 10)):
+            i, j = sorted(rng.sample(range(n), 2))
+            s, t = order[i], order[j]
+            copies = 2 if rng.random() < 0.2 else 1
+            for _ in range(copies):
+                arrows.append((s, t))
+                if rng.random() < unbalancing:
+                    weights.append(rng.choice(POOL))
+                else:
+                    weights.append(potential[s] / potential[t])
+    return WeightedQuiver(Quiver(n + isolated, arrows), weights)
+
+
+def oracle_h1(wq: WeightedQuiver, rep: Representation | None = None) -> int:
+    return homology_dims(build_chain_complex(wq, rep, n_max=2))[1]
+
+
+def nullity_h1(wq: WeightedQuiver, rep: Representation | None = None) -> int:
+    m = boundary1_matrix(wq, rep)
+    return m.cols - m.rank()
+
+
+def square_action(w: Fraction) -> DenseMatrix:
+    return DenseMatrix.from_rows([[w * w]])
+
+
+def diagonal_action(w: Fraction) -> DenseMatrix:
+    return DenseMatrix.from_rows([[w, 0], [0, w * w]])
+
+
+@pytest.fixture
+def count_ranks(monkeypatch):
+    """Counts DenseMatrix.rank calls made inside dim_h1."""
+    calls = []
+    real = DenseMatrix.rank
+
+    def counting(self, tol=1e-9):
+        calls.append((self.rows, self.cols))
+        return real(self, tol)
+
+    monkeypatch.setattr(DenseMatrix, "rank", counting)
+    return calls
+
+
+def test_scalar_gain_graph_matches_rank_and_oracle():
+    rng = random.Random(0xD1FF)
+    seen = set()
+    for _ in range(300):
+        wq = random_dag(rng)
+        fast = dim_h1(wq)
+        assert fast == nullity_h1(wq) == oracle_h1(wq)
+        seen.add(fast)
+    assert len(seen) >= 4, f"generator only produced H1 values {sorted(seen)}"
+
+
+def test_other_one_dimensional_action_takes_gain_path(count_ranks):
+    rep = Representation(1, square_action)
+    rng = random.Random(0x5A5A)
+    for _ in range(100):
+        wq = random_dag(rng)
+        count_ranks.clear()
+        fast = dim_h1(wq, rep)
+        assert count_ranks == []
+        assert fast == nullity_h1(wq, rep) == oracle_h1(wq, rep)
+
+
+def test_two_dimensional_action_takes_matrix_path(count_ranks):
+    rep = Representation(2, diagonal_action)
+    square = Representation(1, square_action)
+    rng = random.Random(0xD2)
+    for _ in range(60):
+        wq = random_dag(rng)
+        count_ranks.clear()
+        h1 = dim_h1(wq, rep)
+        assert (2 * wq.vertex_count, 2 * wq.arrow_count) in count_ranks
+        assert h1 == oracle_h1(wq, rep)
+        # a diagonal action splits into its two 1-dimensional parts
+        assert h1 == dim_h1(wq) + dim_h1(wq, square)
+
+
+def test_gain_path_rejects_zero_gain_and_cycles():
+    shifted = Representation(1, lambda w: DenseMatrix.from_rows([[w - 1]]))
+    wq = WeightedQuiver(Quiver(2, [(0, 1)]), [1])
+    with pytest.raises(WeightError):
+        dim_h1(wq, shifted)
+    with pytest.raises(CyclicQuiverError):
+        dim_h1(WeightedQuiver(Quiver(2, [(0, 1), (1, 0)]), [2, Fraction(1, 2)]))

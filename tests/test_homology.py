@@ -9,6 +9,7 @@ from quivhom import (
     CyclicQuiverError,
     DenseMatrix,
     FieldModeError,
+    InvariantError,
     MorphismError,
     Quiver,
     QuiverMorphism,
@@ -175,6 +176,15 @@ def test_boundary_squared_is_zero():
             c = build_chain_complex(wq, n_max=3, ell=ell)
             for n in range(2, 4):
                 assert c.boundaries[n - 1].matmul(c.boundaries[n]).is_zero()
+
+
+def test_nonmultiplicative_action_fails_square_zero_check():
+    # act(w) = [[w + 1]] breaks act(w1 * w2) == act(w2) @ act(w1), which
+    # the d0 face of a composable pair relies on
+    rep = Representation(1, lambda w: DenseMatrix.from_rows([[w + 1]]))
+    wq = WeightedQuiver(Quiver(3, [(0, 1), (1, 2)]), [2, 3])
+    with pytest.raises(InvariantError):
+        build_chain_complex(wq, rep, n_max=2)
 
 
 def test_saturated_truncation_equals_full_complex():
