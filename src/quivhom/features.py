@@ -69,6 +69,7 @@ def feature_matrix(
     wq: WeightedQuiver,
     hops: int,
     seed: int,
+    *,
     threads: int = 1,
 ) -> FeatureMatrix:
     """Feature vectors for every vertex, assembled row-wise.
