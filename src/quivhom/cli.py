@@ -242,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fas", help="feedback arc report")
     p.add_argument("edges", help="edge list path, or - for stdin")
     _add_common(p)
-    _add_field(p)
     p.add_argument("--dot", default=None, metavar="PATH",
                    help="write the quiver (feedback arcs dashed) in DOT format")
     p.set_defaults(func=cmd_fas)

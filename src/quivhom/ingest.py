@@ -9,6 +9,7 @@ order; the mapping is emitted alongside every output.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
@@ -225,11 +226,14 @@ def _atomic_write(path: str | os.PathLike, text: str) -> None:
 
 
 def feature_matrix_csv(fm: FeatureMatrix, ids: Sequence[str]) -> str:
-    header = "vertex," + ",".join(f"h{k}" for k in range(1, fm.hops + 1))
-    lines = [header]
+    """The feature matrix as CSV: a `vertex,h1,...,hH` header, then one row
+    per vertex. Ids containing `,` or `"` are quoted as the csv module does."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["vertex"] + [f"h{k}" for k in range(1, fm.hops + 1)])
     for v, row in enumerate(fm.rows):
-        lines.append(ids[v] + "," + ",".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
+        writer.writerow([ids[v], *row])
+    return out.getvalue()
 
 
 def feature_matrix_json(fm: FeatureMatrix, ids: Sequence[str]) -> str:
@@ -269,7 +273,7 @@ def read_feature_matrix(
 ) -> tuple[list[list[int]], list[str]]:
     """Parse a written feature matrix back into (rows, vertex ids)."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8", newline="") as fh:
             return read_feature_matrix(fh, fmt)
     if fmt == "json":
         doc = json.load(source)
@@ -278,14 +282,12 @@ def read_feature_matrix(
         raise ValueError(f"unknown format {fmt!r}")
     rows: list[list[int]] = []
     ids: list[str] = []
-    header_seen = False
-    for _, line in _data_lines(source):
-        if not header_seen:
-            header_seen = True
-            continue
-        fields = line.split(",")
-        ids.append(fields[0])
-        rows.append([int(x) for x in fields[1:]])
+    records = csv.reader(source)
+    next(records, None)  # header
+    for fields in records:
+        if fields:
+            ids.append(fields[0])
+            rows.append([int(x) for x in fields[1:]])
     return rows, ids
 
 
@@ -294,16 +296,21 @@ def to_dot(
     ids: Sequence[str] | None = None,
     feedback: Iterable[int] = (),
 ) -> str:
-    """Render the quiver in DOT syntax; feedback arrows are dashed."""
+    """Render the quiver in DOT syntax; feedback arrows are dashed.
+    Names are double-quoted with `\\` and `"` backslash-escaped."""
     q = wq.quiver
     names = ids if ids is not None else [str(v) for v in range(q.vertex_count)]
+    quoted = [
+        '"' + names[v].replace("\\", "\\\\").replace('"', '\\"') + '"'
+        for v in range(q.vertex_count)
+    ]
     dashed = set(feedback)
     out = io.StringIO()
     out.write("digraph quiver {\n")
-    for v in range(q.vertex_count):
-        out.write(f'  "{names[v]}";\n')
+    for name in quoted:
+        out.write(f"  {name};\n")
     for a, (s, t) in enumerate(q.arrows):
         style = ", style=dashed" if a in dashed else ""
-        out.write(f'  "{names[s]}" -> "{names[t]}" [label="{wq.weights[a]}"{style}];\n')
+        out.write(f'  {quoted[s]} -> {quoted[t]} [label="{wq.weights[a]}"{style}];\n')
     out.write("}\n")
     return out.getvalue()

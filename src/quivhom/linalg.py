@@ -2,16 +2,18 @@
 
 Every matrix carries a field-mode tag fixed at construction: "exact"
 (entries are fractions.Fraction) or "float". Rank in exact mode is the
-rank over the rationals; in float mode it counts pivots above a
-tolerance under partial pivoting.
+rank over the rationals, found by one sparse integer elimination fed only
+the nonzero entries; in float mode it counts pivots above a tolerance
+under partial pivoting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import FieldModeError
 
@@ -20,10 +22,6 @@ FLOAT = "float"
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-# Bareiss is quadratic in the smaller dimension with big-integer minors;
-# past this size the sparse elimination path wins comfortably.
-_BAREISS_LIMIT = 48
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,20 +132,17 @@ class DenseMatrix:
         return self.sub(other)
 
     def rank(self, tol: float = 1e-9) -> int:
-        """Rank of the matrix. Exact mode: the rank over the rationals
-        (fraction-free Bareiss elimination; a sparse elimination takes over
-        for large matrices). Float mode: pivots with |p| > tol under
-        Gaussian elimination with partial pivoting."""
+        """Rank of the matrix. Exact mode: the rank over the rationals, by
+        sparse integer elimination over the nonzero entries. Float mode:
+        pivots with |p| > tol under Gaussian elimination with partial
+        pivoting."""
         if self.rows == 0 or self.cols == 0:
             return 0
         if self.mode == FLOAT:
             if tol < 0:
                 raise ValueError("tol must be nonnegative")
             return _rank_float(self, tol)
-        rows = _integer_rows(self)
-        if min(self.rows, self.cols) <= _BAREISS_LIMIT:
-            return _rank_bareiss(rows, self.cols)
-        return _rank_sparse(rows)
+        return _rank_sparse(_integer_rows(self))
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """A basis of the right null space {x : self @ x == 0}.
@@ -199,56 +194,34 @@ def _rank_float(m: DenseMatrix, tol: float) -> int:
     return rank
 
 
-def _integer_rows(m: DenseMatrix) -> list[list[int]]:
-    """Clear denominators row by row (row scaling preserves rank)."""
-    out: list[list[int]] = []
+def _integer_rows(m: DenseMatrix) -> list[dict[int, int]]:
+    """The nonzero rows of an exact matrix as sparse {col: int} dicts.
+
+    Zero entries are skipped by a truth test and never converted. Each row
+    has its denominators cleared and is divided by the gcd of its entries
+    (row scaling preserves rank), which keeps the elimination's integers
+    small.
+    """
+    out: list[dict[int, int]] = []
+    cols = range(m.cols)
     for i in range(m.rows):
         row = m.row(i)
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
+        nz = {j: row[j] for j in compress(cols, row)}
+        if not nz:
+            continue
+        mult = lcm(*(x.denominator for x in nz.values()))
+        d = {j: x.numerator * (mult // x.denominator) for j, x in nz.items()}
+        g = gcd(*d.values())
+        if g > 1:
+            d = {j: x // g for j, x in d.items()}
+        out.append(d)
     return out
 
 
-def _rank_bareiss(a: list[list[int]], ncols: int) -> int:
-    """Fraction-free Gaussian elimination (Bareiss), first-nonzero pivoting."""
-    nrows = len(a)
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        prow = a[r]
-        p = prow[c]
-        for i in range(r + 1, nrows):
-            row = a[i]
-            f = row[c]
-            for j in range(c + 1, ncols):
-                row[j] = (p * row[j] - f * prow[j]) // prev
-            row[c] = 0
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _rank_sparse(rows: list[list[int]]) -> int:
-    """Exact integer rank by sparse elimination with Markowitz-style
-    pivoting; rows are gcd-normalized to keep entries small."""
-    sparse: list[dict[int, int]] = []
-    for row in rows:
-        d = {j: x for j, x in enumerate(row) if x != 0}
-        if d:
-            g = gcd(*d.values())
-            if g > 1:
-                d = {j: x // g for j, x in d.items()}
-            sparse.append(d)
+def _rank_sparse(sparse: list[dict[int, int]]) -> int:
+    """Exact rank of the rows from _integer_rows by sparse elimination with
+    Markowitz-style pivoting; rows are gcd-normalized after each update to
+    keep entries small. The rows are modified in place."""
     col_rows: dict[int, set[int]] = {}
     for i, d in enumerate(sparse):
         for j in d:
@@ -322,11 +295,3 @@ def _rref(m: DenseMatrix) -> tuple[list[list[Fraction]], list[int]]:
         if r == m.rows:
             break
     return a[: len(pivots)], pivots
-
-
-def matrix_from_columns(cols: Iterable[Sequence], mode: str = EXACT) -> DenseMatrix:
-    """Convenience constructor from a sequence of columns."""
-    cols = list(cols)
-    if not cols:
-        return DenseMatrix.zeros(0, 0, mode)
-    return DenseMatrix.from_rows(list(map(list, zip(*cols))), mode)

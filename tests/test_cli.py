@@ -101,10 +101,20 @@ def test_features_json_has_config(edges_file, tmp_path):
     assert doc["vertices"] == ["x0", "x1", "x2"]
 
 
-@pytest.mark.parametrize("flag", [["--field", "float"], ["--tol", "1e-6"]])
+FIELD_FLAGS = [["--field", "float"], ["--tol", "1e-6"]]
+
+
+@pytest.mark.parametrize("flag", FIELD_FLAGS)
 def test_features_is_exact_only(edges_file, flag):
     with pytest.raises(SystemExit) as exc:
         main(["features", edges_file(TRIANGLE_COMMUTING)] + flag)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", FIELD_FLAGS)
+def test_fas_takes_no_field_flags(edges_file, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["fas", edges_file(TRIANGLE_COMMUTING)] + flag)
     assert exc.value.code == 2
 
 

@@ -10,6 +10,7 @@ import pytest
 from quivhom import (
     ParseError,
     WeightError,
+    feature_matrix,
     jaccard_weights,
     load_attributes,
     load_weighted_edges,
@@ -189,6 +190,33 @@ def test_feature_matrix_roundtrip_csv_and_json(tmp_path):
         back_rows, back_ids = read_feature_matrix(path, fmt)
         assert back_ids == ids
         assert [tuple(r) for r in back_rows] == list(rows)
+
+
+# ids the tab-separated parser accepts that need quoting in CSV and DOT
+SPECIAL_EDGES = 'a,b\td"e\t2\nd"e\t#x\t3\na,b\t#x\t6\nback\\slash\t#x\t1\n'
+
+
+def test_feature_matrix_roundtrip_special_ids(tmp_path):
+    wq, ids = edges(SPECIAL_EDGES)
+    assert ids == ["a,b", 'd"e', "#x", "back\\slash"]
+    fm = feature_matrix(wq, 2, seed=1)
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"out.{fmt}"
+        write_feature_matrix(fm, path, ids, fmt)
+        back_rows, back_ids = read_feature_matrix(path, fmt)
+        assert back_ids == ids
+        assert [tuple(r) for r in back_rows] == list(fm.rows)
+    assert '"a,b",' in feature_matrix_csv(fm, ids)
+
+
+def test_to_dot_escapes_quotes_and_backslashes():
+    wq, ids = edges(SPECIAL_EDGES)
+    dot = to_dot(wq, ids)
+    assert '  "a,b" -> "d\\"e" [label="2"];' in dot
+    assert '  "back\\\\slash" -> "#x" [label="1"];' in dot
+    for line in dot.splitlines():
+        unescaped = line.replace("\\\\", "").replace('\\"', "")
+        assert unescaped.count('"') % 2 == 0, line
 
 
 def test_feature_matrix_json_echoes_config(tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quivhom import DenseMatrix, FieldModeError
-from quivhom.linalg import FLOAT, _integer_rows, _rank_bareiss, _rank_sparse
+from quivhom.linalg import EXACT, FLOAT, _integer_rows, _rank_sparse, _rref
 
 
 def _random_matrix(rng, rows, cols, density=0.7, span=4):
@@ -138,11 +138,60 @@ def test_float_rank_agrees_with_exact_on_small_integers(rng):
         assert approx.rank(tol=1e-9) == exact.rank()
 
 
-def test_sparse_and_bareiss_paths_agree(rng):
-    for _ in range(100):
-        m = _random_matrix(rng, rng.randint(1, 9), rng.randint(1, 9), density=0.5)
-        ints = _integer_rows(m)
-        assert _rank_bareiss([r[:] for r in ints], m.cols) == _rank_sparse(ints)
+_EXTREME = [Fraction(2**200, 3), Fraction(1, 2**200), Fraction(-(2**200) - 1, 7)]
+
+
+def _dependent_matrix(rng, rows, cols, density, extreme):
+    """Random exact rows, some all zero and some rational combinations of
+    two earlier rows, then each row scaled by an extreme value or 1. With
+    probability `extreme` an entry is itself extreme, which only small
+    matrices can afford: the reference _rref slows down sharply."""
+    data: list[list[Fraction]] = []
+    for _ in range(rows):
+        roll = rng.random()
+        if roll < 0.1:
+            row = [Fraction(0)] * cols
+        elif roll < 0.3 and len(data) >= 2:
+            a, b = rng.sample(data, 2)
+            c = Fraction(rng.choice([-3, -1, 2]), rng.randint(1, 3))
+            row = [x + c * y for x, y in zip(a, b)]
+        else:
+            row = [
+                rng.choice(_EXTREME) if rng.random() < extreme
+                else Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                for _ in range(cols)
+            ]
+            row = [x if rng.random() < density else Fraction(0) for x in row]
+        data.append(row)
+    scales = [rng.choice(_EXTREME + [1]) for _ in data]
+    return DenseMatrix(rows, cols, tuple(x * c for r, c in zip(data, scales) for x in r), EXACT)
+
+
+def test_sparse_rank_matches_rref_pivot_count(rng):
+    # shapes on both sides of min(rows, cols) = 48, where exact rank used to
+    # switch from a second (Bareiss) engine to this one
+    shapes = (
+        [(rng.randint(1, 9), rng.randint(1, 9), 0.5, 0.2) for _ in range(150)]
+        + [(rng.randint(49, 64), rng.randint(49, 64), 0.06, 0.0) for _ in range(3)]
+        + [(rng.randint(1, 9), rng.randint(49, 70), 0.3, 0.05) for _ in range(10)]
+        + [(0, rng.randint(1, 70), 0.5, 0.0) for _ in range(3)]
+    )
+    for rows, cols, density, extreme in shapes:
+        m = _dependent_matrix(rng, rows, cols, density, extreme)
+        for x in (m, m.transpose()):
+            expected = len(_rref(x)[1])
+            assert _rank_sparse(_integer_rows(x)) == expected
+            assert x.rank() == expected
+
+
+def test_integer_rows_skip_zeros_and_normalize():
+    m = DenseMatrix.from_rows([
+        [0, 0, 0],
+        [Fraction(2**200, 3), 0, Fraction(-(2**201), 9)],
+        [Fraction(1, 2**200), Fraction(3, 2**199), 0],
+    ])
+    assert _integer_rows(m) == [{0: 3, 2: -2}, {0: 1, 1: 6}]
+    assert _integer_rows(DenseMatrix.zeros(0, 4)) == []
 
 
 def test_float_rank_respects_tolerance():
