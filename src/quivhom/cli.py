@@ -35,14 +35,12 @@ from .homology import (
 )
 from .ingest import (
     _atomic_write,
-    feature_matrix_csv,
-    feature_matrix_json,
     jaccard_weights,
     load_attributes,
     load_undirected_pairs,
     load_weighted_edges,
+    render_feature_matrix,
     to_dot,
-    write_feature_matrix,
 )
 from .linalg import EXACT, FLOAT
 from .quiver import WeightedQuiver, count_nchains, is_acyclic, find_cycle
@@ -120,14 +118,7 @@ def cmd_features(args) -> int:
     wq, ids = _open_edges(args.edges, _epsilon(args))
     fm = feature_matrix(wq, args.hops, args.seed, threads=args.threads)
     print(f"config: hops={args.hops} seed={args.seed} field={EXACT}", file=sys.stderr)
-    text = (
-        feature_matrix_json(fm, ids) if args.format == "json"
-        else feature_matrix_csv(fm, ids)
-    )
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        write_feature_matrix(fm, args.output, ids, args.format)
+    _write_text(args.output, render_feature_matrix(fm, ids, args.format))
     return EXIT_OK
 
 

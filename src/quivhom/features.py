@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .fas import berger_shor
 from .homology import dim_h1
-from .quiver import WeightedQuiver, induced_subquiver, k_hop_vertices
+from .quiver import WeightedQuiver, induced_subquiver, k_hop_levels
 
 _MASK64 = (1 << 64) - 1
 
@@ -59,8 +59,8 @@ def feature_vector(
     if hops < 1:
         raise ValueError("hops must be positive")
     out: list[int] = []
-    for k in range(1, hops + 1):
-        sub = induced_subquiver(wq, k_hop_vertices(wq.quiver, v, k))
+    for k, hood in enumerate(k_hop_levels(wq.quiver, v, hops), start=1):
+        sub = induced_subquiver(wq, hood)
         out.append(dim_h1(berger_shor(sub.wq, derive_seed(seed, v, k)).kept))
     return tuple(out)
 
@@ -77,6 +77,8 @@ def feature_matrix(
     The per-(vertex, hop) seeds are derived from the base seed, so serial
     and parallel runs produce identical matrices.
     """
+    if hops < 1:
+        raise ValueError("hops must be positive")
     vertices = range(wq.vertex_count)
 
     def one(v: int) -> tuple[int, ...]:

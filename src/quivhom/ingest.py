@@ -252,6 +252,15 @@ def feature_matrix_json(fm: FeatureMatrix, ids: Sequence[str]) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def render_feature_matrix(fm: FeatureMatrix, ids: Sequence[str], fmt: str = "csv") -> str:
+    """The feature matrix as CSV or JSON text."""
+    if fmt == "csv":
+        return feature_matrix_csv(fm, ids)
+    if fmt == "json":
+        return feature_matrix_json(fm, ids)
+    raise ValueError(f"unknown format {fmt!r}")
+
+
 def write_feature_matrix(
     fm: FeatureMatrix,
     path: str | os.PathLike,
@@ -259,13 +268,7 @@ def write_feature_matrix(
     fmt: str = "csv",
 ) -> None:
     """Write the feature matrix as CSV or JSON (atomically: temp + rename)."""
-    if fmt == "csv":
-        text = feature_matrix_csv(fm, ids)
-    elif fmt == "json":
-        text = feature_matrix_json(fm, ids)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    _atomic_write(path, text)
+    _atomic_write(path, render_feature_matrix(fm, ids, fmt))
 
 
 def read_feature_matrix(

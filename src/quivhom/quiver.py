@@ -8,7 +8,6 @@ composable sequence of arrows; identities are never represented as paths.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -75,7 +74,8 @@ class WeightedQuiver:
 
     def __init__(self, quiver: Quiver, weights: Iterable[Fraction | int | str]):
         object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in weights))
+        object.__setattr__(self, "weights", tuple(
+            w if isinstance(w, Fraction) else Fraction(w) for w in weights))
         if len(self.weights) != quiver.arrow_count:
             raise ValueError(
                 f"{len(self.weights)} weights for {quiver.arrow_count} arrows"
@@ -187,8 +187,25 @@ def topological_order(q: Quiver) -> list[int] | None:
 
 
 def is_acyclic(q: Quiver) -> bool:
-    """True iff the quiver has no directed cycle (self-loops count)."""
-    return topological_order(q) is not None
+    """True iff the quiver has no directed cycle (self-loops count).
+
+    Kahn's algorithm that only counts the vertices it removes; no order is
+    kept, so any frontier discipline will do.
+    """
+    indeg = [0] * q.vertex_count
+    for _, t in q.arrows:
+        indeg[t] += 1
+    frontier = [v for v in range(q.vertex_count) if indeg[v] == 0]
+    removed = 0
+    while frontier:
+        v = frontier.pop()
+        removed += 1
+        for a in q.out_arrows[v]:
+            t = q.arrows[a][1]
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                frontier.append(t)
+    return removed == q.vertex_count
 
 
 def find_cycle(q: Quiver) -> list[int] | None:
@@ -330,25 +347,39 @@ def count_nchains(
     return count
 
 
-def k_hop_vertices(q: Quiver, v: int, k: int) -> set[int]:
-    """Vertices reachable from v by a directed path of length <= k,
-    including v itself."""
+def k_hop_levels(q: Quiver, v: int, k: int) -> list[set[int]]:
+    """The k-hop out-neighbourhoods of v for hops 1..k, from one BFS.
+
+    Entry i is the set of vertices reachable from v by a directed path of
+    length <= i + 1, v included, so the sets are nested; each is its own
+    set object. The cost is linear in the vertices and arrows reached.
+    """
     if not (0 <= v < q.vertex_count):
         raise ValueError(f"vertex {v} out of range")
     if k < 0:
         raise ValueError("k must be nonnegative")
     seen = {v}
-    frontier = deque([(v, 0)])
-    while frontier:
-        u, d = frontier.popleft()
-        if d == k:
-            continue
-        for a in q.out_arrows[u]:
-            t = q.target(a)
-            if t not in seen:
-                seen.add(t)
-                frontier.append((t, d + 1))
-    return seen
+    frontier = [v]
+    levels: list[set[int]] = []
+    for _ in range(k):
+        nxt: list[int] = []
+        for u in frontier:
+            for a in q.out_arrows[u]:
+                t = q.arrows[a][1]
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+        levels.append(set(seen))
+    return levels
+
+
+def k_hop_vertices(q: Quiver, v: int, k: int) -> set[int]:
+    """Vertices reachable from v by a directed path of length <= k,
+    including v itself."""
+    # shortest paths have at most N - 1 arrows, so larger k adds nothing
+    levels = k_hop_levels(q, v, min(k, q.vertex_count))
+    return levels[-1] if levels else {v}
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,29 +395,35 @@ class InducedSubquiver:
 
 def induced_subquiver(wq: WeightedQuiver, vs: Iterable[int]) -> InducedSubquiver:
     """The subquiver on vertex set vs: exactly the arrows with both
-    endpoints in vs, weights carried over. New vertex indices follow
-    ascending original index."""
+    endpoints in vs, weights carried over. New vertex and arrow indices
+    follow ascending original index. The cost depends only on vs and the
+    arrows leaving it (one sort of the kept arrows), not on the whole
+    quiver."""
     q = wq.quiver
     sub_to_vertex = tuple(sorted(set(vs)))
     for v in sub_to_vertex:
         if not (0 <= v < q.vertex_count):
             raise ValueError(f"vertex {v} out of range")
     vertex_to_sub = {v: i for i, v in enumerate(sub_to_vertex)}
-    sub_arrows: list[tuple[int, int]] = []
-    sub_weights: list[Fraction] = []
-    sub_to_arrow: list[int] = []
-    arrow_to_sub: dict[int, int] = {}
-    for i, (s, t) in enumerate(q.arrows):
-        if s in vertex_to_sub and t in vertex_to_sub:
-            arrow_to_sub[i] = len(sub_arrows)
-            sub_to_arrow.append(i)
-            sub_arrows.append((vertex_to_sub[s], vertex_to_sub[t]))
-            sub_weights.append(wq.weights[i])
-    sub = WeightedQuiver(Quiver(len(sub_to_vertex), sub_arrows), sub_weights)
+    # only arrows leaving vs can lie inside it; sorting restores the
+    # ascending original arrow order
+    arrows = q.arrows
+    sub_to_arrow = tuple(sorted(
+        a for v in sub_to_vertex for a in q.out_arrows[v]
+        if arrows[a][1] in vertex_to_sub
+    ))
+    sub_arrows = [
+        (vertex_to_sub[arrows[a][0]], vertex_to_sub[arrows[a][1]])
+        for a in sub_to_arrow
+    ]
+    sub = WeightedQuiver(
+        Quiver(len(sub_to_vertex), sub_arrows),
+        [wq.weights[a] for a in sub_to_arrow],
+    )
     return InducedSubquiver(
         wq=sub,
         vertex_to_sub=vertex_to_sub,
         sub_to_vertex=sub_to_vertex,
-        arrow_to_sub=arrow_to_sub,
-        sub_to_arrow=tuple(sub_to_arrow),
+        arrow_to_sub={a: i for i, a in enumerate(sub_to_arrow)},
+        sub_to_arrow=sub_to_arrow,
     )

@@ -101,6 +101,22 @@ def test_features_json_has_config(edges_file, tmp_path):
     assert doc["vertices"] == ["x0", "x1", "x2"]
 
 
+def test_features_bad_hops_exits_2_on_empty_input(edges_file, capsys):
+    assert main(["features", edges_file(""), "-H", "-3", "-o", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "hops must be positive" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_features_stdout_and_file_are_the_same_bytes(edges_file, tmp_path, capsys, fmt):
+    src = edges_file(TRIANGLE_COMMUTING)
+    out = tmp_path / f"fm.{fmt}"
+    assert main(["features", src, "--format", fmt, "-o", str(out)]) == 0
+    assert main(["features", src, "--format", fmt]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
 FIELD_FLAGS = [["--field", "float"], ["--tol", "1e-6"]]
 
 

@@ -107,6 +107,12 @@ def test_hops_must_be_positive():
         feature_vector(wq, 0, 0, seed=0)
 
 
+def test_feature_matrix_rejects_bad_hops_on_empty_graph():
+    wq = WeightedQuiver(Quiver(0, []), [])
+    with pytest.raises(ValueError):
+        feature_matrix(wq, 0, seed=1)
+
+
 def test_derive_seed_is_stable():
     # pinned values guard against accidental reseeding changes
     assert derive_seed(0, 0, 1) == derive_seed(0, 0, 1)

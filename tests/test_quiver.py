@@ -16,12 +16,13 @@ from quivhom import (
     find_cycle,
     induced_subquiver,
     is_acyclic,
+    k_hop_levels,
     k_hop_vertices,
     make_nchain,
     make_path,
     topological_order,
 )
-from conftest import random_acyclic_weighted_quiver
+from conftest import random_acyclic_weighted_quiver, random_nonzero_fraction
 
 TRIANGLE = Quiver(3, [(0, 1), (1, 2), (0, 2)])
 SQUARE = Quiver(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
@@ -41,6 +42,16 @@ def test_weighted_quiver_rejects_zero_weight():
 def test_weighted_quiver_rejects_wrong_weight_count():
     with pytest.raises(ValueError):
         WeightedQuiver(PATH3, [1])
+
+
+def test_weighted_quiver_stores_fractions_and_keeps_given_ones():
+    given = Fraction(7, 3)
+    wq = WeightedQuiver(TRIANGLE, [2, "3/4", given])
+    assert wq.weights == (Fraction(2), Fraction(3, 4), given)
+    assert all(type(w) is Fraction for w in wq.weights)
+    assert wq.weights[2] is given
+    with pytest.raises(WeightError):
+        WeightedQuiver(PATH3, [Fraction(1), Fraction(0)])
 
 
 def test_parallel_arrows_are_allowed():
@@ -65,6 +76,36 @@ def test_is_acyclic_self_loop():
     q = Quiver(1, [(0, 0)])
     assert not is_acyclic(q)
     assert find_cycle(q) == [0, 0]
+
+
+def random_multigraph(rng: random.Random, max_vertices: int = 12) -> WeightedQuiver:
+    """Random quiver with self-loops, parallel arrows and (usually) isolated
+    vertices: endpoints come from a random subset of the vertices, and some
+    arrows are repeated. Mostly forward along a hidden order, so both
+    acyclic and cyclic quivers are common."""
+    n = rng.randint(1, max_vertices)
+    used = rng.sample(range(n), rng.randint(1, n))
+    arrows = []
+    for _ in range(rng.randint(0, 2 * n)):
+        s, t = rng.choice(used), rng.choice(used)
+        if rng.random() < 0.9 and used.index(s) > used.index(t):
+            s, t = t, s
+        arrows.append((s, t))
+    for _ in range(rng.randint(0, 3) if arrows else 0):
+        arrows.insert(rng.randrange(len(arrows) + 1), rng.choice(arrows))
+    weights = [random_nonzero_fraction(rng) for _ in arrows]
+    return WeightedQuiver(Quiver(n, arrows), weights)
+
+
+def test_is_acyclic_agrees_with_topological_order():
+    rng = random.Random(71)
+    outcomes = set()
+    for _ in range(300):
+        q = random_multigraph(rng).quiver
+        acyclic = is_acyclic(q)
+        assert acyclic == (topological_order(q) is not None)
+        outcomes.add(acyclic)
+    assert outcomes == {True, False}
 
 
 def test_enumerate_paths_triangle():
@@ -173,6 +214,7 @@ def test_k_hop_examples():
     assert k_hop_vertices(PATH3, 0, 2) == {0, 1, 2}
     assert k_hop_vertices(PATH3, 2, 0) == {2}
     assert k_hop_vertices(PATH3, 2, 5) == {2}
+    assert k_hop_vertices(PATH3, 0, 10**9) == {0, 1, 2}
 
 
 def test_k_hop_monotone_and_stabilizes():
@@ -210,6 +252,66 @@ def test_induced_subquiver_empty():
     sub = induced_subquiver(wq, set())
     assert sub.wq.vertex_count == 0
     assert sub.wq.arrow_count == 0
+
+
+def _scan_induced(wq: WeightedQuiver, vs):
+    """Reference: the induced subquiver by a scan over every arrow."""
+    sub_to_vertex = tuple(sorted(set(vs)))
+    vertex_to_sub = {v: i for i, v in enumerate(sub_to_vertex)}
+    sub_to_arrow = tuple(
+        a for a, (s, t) in enumerate(wq.quiver.arrows)
+        if s in vertex_to_sub and t in vertex_to_sub
+    )
+    arrows = tuple(
+        (vertex_to_sub[wq.quiver.arrows[a][0]], vertex_to_sub[wq.quiver.arrows[a][1]])
+        for a in sub_to_arrow
+    )
+    return {
+        "vertex_to_sub": vertex_to_sub,
+        "sub_to_vertex": sub_to_vertex,
+        "arrow_to_sub": {a: i for i, a in enumerate(sub_to_arrow)},
+        "sub_to_arrow": sub_to_arrow,
+        "arrows": arrows,
+        "weights": tuple(wq.weights[a] for a in sub_to_arrow),
+    }
+
+
+def test_induced_subquiver_matches_full_scan():
+    rng = random.Random(83)
+    for _ in range(300):
+        wq = random_multigraph(rng)
+        n = wq.vertex_count
+        vs = rng.sample(range(n), rng.randint(0, n))
+        vs += rng.choices(vs, k=rng.randint(0, len(vs)))  # duplicates
+        rng.shuffle(vs)
+        sub = induced_subquiver(wq, iter(vs))
+        ref = _scan_induced(wq, vs)
+        assert sub.vertex_to_sub == ref["vertex_to_sub"]
+        assert sub.sub_to_vertex == ref["sub_to_vertex"]
+        assert sub.arrow_to_sub == ref["arrow_to_sub"]
+        assert sub.sub_to_arrow == ref["sub_to_arrow"]
+        assert sub.wq.quiver.arrows == ref["arrows"]
+        assert sub.wq.weights == ref["weights"]
+        assert sub.wq.vertex_count == len(ref["sub_to_vertex"])
+    for bad in (-1, n):
+        with pytest.raises(ValueError):
+            induced_subquiver(wq, [0, bad])
+
+
+def test_k_hop_levels_match_k_hop_vertices():
+    rng = random.Random(89)
+    for _ in range(100):
+        q = random_multigraph(rng).quiver
+        for v in range(q.vertex_count):
+            levels = k_hop_levels(q, v, 4)
+            assert len(levels) == 4
+            for k, level in enumerate(levels, start=1):
+                assert level == k_hop_vertices(q, v, k)
+    assert k_hop_levels(PATH3, 0, 0) == []
+    with pytest.raises(ValueError):
+        k_hop_levels(PATH3, 3, 1)
+    with pytest.raises(ValueError):
+        k_hop_levels(PATH3, 0, -1)
 
 
 def test_make_path_checks_composability():
