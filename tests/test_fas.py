@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import random
+from fractions import Fraction
 
 from quivhom import Quiver, WeightedQuiver, berger_shor, is_acyclic, to_dag
+from quivhom.cli import main
 from conftest import random_digraph
 
 
@@ -87,3 +90,53 @@ def test_bound_with_self_loops_counts_non_loop_arcs():
         assert all(wq.quiver.arrows[a][0] != wq.quiver.arrows[a][1]
                    for a in res.kept_arrows)
         assert len(res.kept_arrows) * 2 >= wq.arrow_count - loops
+
+
+def pinned_fas_graph() -> tuple[WeightedQuiver, str]:
+    """A seeded 16-vertex multigraph with self-loops and parallel arcs, as
+    a quiver and as the edge list text the CLI reads (ids interned in
+    index order, so both views number the vertices alike)."""
+    rng = random.Random(0xFA5)
+    n = 16
+    arrows = [(v, (v + 1) % n) for v in range(n)]
+    while len(arrows) < 44:
+        arrows.append((rng.randrange(n), rng.randrange(n)))
+    for _ in range(4):
+        arrows.insert(rng.randrange(len(arrows) + 1), rng.choice(arrows))
+    arrows += [(3, 3), (11, 11)]
+    weights = [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in arrows]
+    text = "".join(f"v{s},v{t},{w}\n" for (s, t), w in zip(arrows, weights))
+    return WeightedQuiver(Quiver(n, arrows), weights), text
+
+
+# Pinned Berger-Shor outcome and `quivhom fas --seed 7 --dot` bytes for
+# pinned_fas_graph(). Any refactor of the pass must reproduce them exactly.
+PINNED_FAS_PERMUTATION = (3, 14, 7, 9, 13, 11, 4, 5, 12, 8, 1, 0, 15, 6, 2, 10)
+PINNED_FAS_FEEDBACK = (0, 3, 4, 7, 10, 12, 15, 17, 29, 30, 31, 35, 36, 48, 49)
+PINNED_FAS_CLI_SHA256 = "6b0b8ce714916b807a13c6f0bc66e23daf9ba953c784ad2115f1432b70671cff"
+
+
+def test_pinned_fas_graph_has_loops_and_parallel_arcs():
+    wq, _ = pinned_fas_graph()
+    arrows = wq.quiver.arrows
+    assert any(s == t for s, t in arrows)
+    assert len(set(arrows)) < len(arrows)
+
+
+def test_berger_shor_pinned_permutation_and_feedback():
+    wq, _ = pinned_fas_graph()
+    res = berger_shor(wq, 7)
+    assert res.permutation == PINNED_FAS_PERMUTATION
+    assert tuple(sorted(res.feedback)) == PINNED_FAS_FEEDBACK
+    assert res.kept_arrows == tuple(
+        a for a in range(wq.arrow_count) if a not in res.feedback)
+
+
+def test_fas_cli_pinned_digest(tmp_path, capsys):
+    _, text = pinned_fas_graph()
+    edges = tmp_path / "edges.csv"
+    edges.write_text(text)
+    dot = tmp_path / "fas.dot"
+    assert main(["fas", str(edges), "--seed", "7", "--dot", str(dot)]) == 0
+    out = capsys.readouterr().out.encode() + dot.read_bytes()
+    assert hashlib.sha256(out).hexdigest() == PINNED_FAS_CLI_SHA256
