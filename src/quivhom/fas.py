@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InvariantError
-from .quiver import Quiver, WeightedQuiver, topological_order
+from .quiver import Quiver, WeightedQuiver, arcs_acyclic
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,6 +36,43 @@ class FasResult:
     seed: int
 
 
+def berger_shor_arcs(
+    n: int, arcs: Sequence[tuple[int, int]], seed: int
+) -> tuple[list[int], list[int]]:
+    """The feedback-arc-set pass on plain arcs over vertices 0..n-1.
+
+    Returns the positions of the kept arcs, ascending, and the visiting
+    order. The kept arcs pass one acyclicity check, which raises
+    ``InvariantError`` if they close a cycle.
+    """
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    ins: list[list[int]] = [[] for _ in range(n)]
+    outs: list[list[int]] = [[] for _ in range(n)]
+    for a, (s, t) in enumerate(arcs):
+        # a self-loop joins no side, so it is never kept
+        if s != t:
+            outs[s].append(a)
+            ins[t].append(a)
+
+    claimed = [False] * len(arcs)
+    keep = [False] * len(arcs)
+    for v in perm:
+        vin = [a for a in ins[v] if not claimed[a]]
+        vout = [a for a in outs[v] if not claimed[a]]
+        for a in vin if len(vin) > len(vout) else vout:
+            keep[a] = True
+        for a in vin:
+            claimed[a] = True
+        for a in vout:
+            claimed[a] = True
+
+    kept = [a for a, k in enumerate(keep) if k]
+    if not arcs_acyclic(n, [arcs[a] for a in kept]):
+        raise InvariantError("feedback-arc-set pass kept a cycle")
+    return kept, perm
+
+
 def berger_shor(wq: WeightedQuiver, seed: int) -> FasResult:
     """Run the randomized feedback-arc-set pass with the given seed.
 
@@ -42,41 +80,15 @@ def berger_shor(wq: WeightedQuiver, seed: int) -> FasResult:
     acyclic and keeps at least half of the non-loop arcs.
     """
     q = wq.quiver
-    n, m = q.vertex_count, q.arrow_count
-    rng = random.Random(seed)
-    perm = list(range(n))
-    rng.shuffle(perm)
-
-    feedback: set[int] = set()
-    present = [True] * m
-    for a, (s, t) in enumerate(q.arrows):
-        if s == t:
-            feedback.add(a)
-            present[a] = False
-
-    for v in perm:
-        ins = [a for a in q.in_arrows[v] if present[a]]
-        outs = [a for a in q.out_arrows[v] if present[a]]
-        if len(ins) > len(outs):
-            feedback.update(outs)
-        else:
-            feedback.update(ins)
-        for a in ins:
-            present[a] = False
-        for a in outs:
-            present[a] = False
-
-    kept_arrows = tuple(a for a in range(m) if a not in feedback)
+    kept_arrows, perm = berger_shor_arcs(q.vertex_count, q.arrows, seed)
     kept = WeightedQuiver(
-        Quiver(n, [q.arrows[a] for a in kept_arrows]),
+        Quiver(q.vertex_count, [q.arrows[a] for a in kept_arrows]),
         [wq.weights[a] for a in kept_arrows],
     )
-    if topological_order(kept.quiver) is None:
-        raise InvariantError("feedback-arc-set pass kept a cycle")
     return FasResult(
-        feedback=frozenset(feedback),
+        feedback=frozenset(range(q.arrow_count)).difference(kept_arrows),
         kept=kept,
-        kept_arrows=kept_arrows,
+        kept_arrows=tuple(kept_arrows),
         permutation=tuple(perm),
         seed=seed,
     )

@@ -12,10 +12,14 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .fas import berger_shor
-from .homology import dim_h1
-from .quiver import WeightedQuiver, induced_subquiver, k_hop_levels
+from .fas import berger_shor_arcs
+from .homology import gain_graph_h1
+from .quiver import induced_arcs, k_hop_levels
+
+if TYPE_CHECKING:
+    from .quiver import WeightedQuiver
 
 _MASK64 = (1 << 64) - 1
 
@@ -55,13 +59,25 @@ def feature_vector(
     hops: int,
     seed: int,
 ) -> tuple[int, ...]:
-    """dim H1 of the k-hop DAG around v, for k = 1..hops."""
+    """dim H1 of the k-hop DAG around v, for k = 1..hops.
+
+    Cell k is ``dim_h1(berger_shor(induced_subquiver(wq, hood).wq,
+    derive_seed(seed, v, k)).kept)``, computed by the cores those
+    functions wrap on plain arc lists, with the weights as gains.
+    """
     if hops < 1:
         raise ValueError("hops must be positive")
+    q = wq.quiver
+    arrows, weights = q.arrows, wq.weights
     out: list[int] = []
-    for k, hood in enumerate(k_hop_levels(wq.quiver, v, hops), start=1):
-        sub = induced_subquiver(wq, hood)
-        out.append(dim_h1(berger_shor(sub.wq, derive_seed(seed, v, k)).kept))
+    for k, hood in enumerate(k_hop_levels(q, v, hops), start=1):
+        verts, ids = induced_arcs(q, hood)
+        local = {u: i for i, u in enumerate(verts)}
+        arcs = [(local[arrows[a][0]], local[arrows[a][1]]) for a in ids]
+        kept, _ = berger_shor_arcs(len(verts), arcs, derive_seed(seed, v, k))
+        out.append(gain_graph_h1(
+            len(verts), [arcs[i] for i in kept], [weights[ids[i]] for i in kept]
+        ))
     return tuple(out)
 
 
@@ -79,6 +95,8 @@ def feature_matrix(
     """
     if hops < 1:
         raise ValueError("hops must be positive")
+    if threads < 1:
+        raise ValueError("threads must be positive")
     vertices = range(wq.vertex_count)
 
     def one(v: int) -> tuple[int, ...]:

@@ -37,9 +37,6 @@ from .quiver import (
     find_cycle,
 )
 
-# A block is a small dense d x d matrix stored as nested tuples.
-_Block = tuple
-
 _ONE = Fraction(1)
 
 
@@ -145,23 +142,56 @@ def dim_h1(wq: WeightedQuiver, rep: Representation | None = None, tol: float = 1
         _require_acyclic(wq)
         gains = [_invertible_action(rep, w).at(0, 0) for w in wq.weights]
         q = wq.quiver
-        return q.arrow_count - q.vertex_count + _balanced_components(
-            q.vertex_count, q.arrows, gains
-        )
+        return gain_graph_h1(q.vertex_count, q.arrows, gains)
     m = boundary1_matrix(wq, rep)
     return m.cols - m.rank(tol)
 
 
-def _balanced_components(n: int, arrows: Sequence[tuple[int, int]], gains: Sequence[Fraction]) -> int:
-    """Weakly connected components whose gains are consistent.
+def gain_graph_h1(n: int, arcs: Sequence[tuple[int, int]], gains: Sequence[Fraction]) -> int:
+    """dim H1 of the acyclic arcs on vertices 0..n-1 with nonzero gains.
 
-    The boundary column of arrow s -> t with gain g is -e_s + g e_t, so a
-    left-kernel vector y satisfies y_s = g y_t on every arrow. On a
-    component those equations have a one-dimensional solution space when
-    every cycle of the underlying graph has gain product 1 (balanced) and
-    only y = 0 otherwise, so the boundary rank is n - (balanced count)
-    (Zaslavsky, "Biased graphs II", 1991). A union-find with path
-    compression and union by size stores y_v / y_parent(v) exactly.
+    The boundary column of arc s -> t with gain g is -e_s + g e_t, so its
+    rank is n - b, where b counts the weakly connected components whose
+    cycles all have gain product 1 (balanced; Zaslavsky, "Biased graphs
+    II", 1991), and dim H1 = M - N + b. An integer union-find finds the
+    arcs that close a cycle of the underlying graph; there are exactly
+    M - N + (component count) of them, and a component without one is a
+    tree, hence balanced. Only the arcs of components with a closing arc
+    are read in ``gains``, so a forest needs no gain arithmetic at all.
+    """
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    closing: list[int] = []  # one endpoint of each cycle-closing arc
+    for s, t in arcs:
+        rs, rt = find(s), find(t)
+        if rs == rt:
+            closing.append(s)
+        else:
+            parent[rs] = rt
+    if not closing:
+        return 0
+    cyclic = {find(v) for v in closing}
+    hot = [i for i, (s, _) in enumerate(arcs) if find(s) in cyclic]
+    return len(closing) - _unbalanced_components(
+        n, [arcs[i] for i in hot], [gains[i] for i in hot]
+    )
+
+
+def _unbalanced_components(n: int, arcs: Sequence[tuple[int, int]], gains: Sequence[Fraction]) -> int:
+    """Weakly connected components with a cycle of gain product != 1.
+
+    A left-kernel vector y of the boundary satisfies y_s = g y_t on every
+    arc s -> t with gain g; on a component those equations have a
+    one-dimensional solution space when it is balanced and only y = 0
+    otherwise. A union-find with path compression and union by size
+    stores y_v / y_parent(v) exactly and marks a component unbalanced
+    when a closing arc contradicts the stored ratios.
     """
     parent = list(range(n))
     ratio = [_ONE] * n
@@ -181,7 +211,7 @@ def _balanced_components(n: int, arrows: Sequence[tuple[int, int]], gains: Seque
             parent[u] = v
         return v, acc
 
-    for (s, t), g in zip(arrows, gains):
+    for (s, t), g in zip(arcs, gains):
         rs, ps = find(s)
         rt, pt = find(t)
         if rs == rt:
@@ -196,7 +226,7 @@ def _balanced_components(n: int, arrows: Sequence[tuple[int, int]], gains: Seque
         ratio[rs] = r
         size[rt] += size[rs]
         balanced[rt] = balanced[rt] and balanced[rs]
-    return sum(1 for v in range(n) if parent[v] == v and balanced[v])
+    return sum(1 for v in range(n) if parent[v] == v and not balanced[v])
 
 
 def h1_kernel_basis(

@@ -51,14 +51,6 @@ class Quiver:
             out[s].append(i)
         return tuple(tuple(a) for a in out)
 
-    @cached_property
-    def in_arrows(self) -> tuple[tuple[int, ...], ...]:
-        """Arrow indices entering each vertex, ascending."""
-        inc: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for i, (_, t) in enumerate(self.arrows):
-            inc[t].append(i)
-        return tuple(tuple(a) for a in inc)
-
 
 @dataclass(frozen=True)
 class WeightedQuiver:
@@ -186,26 +178,33 @@ def topological_order(q: Quiver) -> list[int] | None:
     return order
 
 
-def is_acyclic(q: Quiver) -> bool:
-    """True iff the quiver has no directed cycle (self-loops count).
+def arcs_acyclic(n: int, arcs: Sequence[tuple[int, int]]) -> bool:
+    """True iff the arcs on vertices 0..n-1 form no directed cycle
+    (self-loops count).
 
     Kahn's algorithm that only counts the vertices it removes; no order is
     kept, so any frontier discipline will do.
     """
-    indeg = [0] * q.vertex_count
-    for _, t in q.arrows:
+    indeg = [0] * n
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for s, t in arcs:
         indeg[t] += 1
-    frontier = [v for v in range(q.vertex_count) if indeg[v] == 0]
+        succ[s].append(t)
+    frontier = [v for v in range(n) if indeg[v] == 0]
     removed = 0
     while frontier:
         v = frontier.pop()
         removed += 1
-        for a in q.out_arrows[v]:
-            t = q.arrows[a][1]
+        for t in succ[v]:
             indeg[t] -= 1
             if indeg[t] == 0:
                 frontier.append(t)
-    return removed == q.vertex_count
+    return removed == n
+
+
+def is_acyclic(q: Quiver) -> bool:
+    """True iff the quiver has no directed cycle (self-loops count)."""
+    return arcs_acyclic(q.vertex_count, q.arrows)
 
 
 def find_cycle(q: Quiver) -> list[int] | None:
@@ -393,37 +392,46 @@ class InducedSubquiver:
     sub_to_arrow: tuple[int, ...]
 
 
+def induced_arcs(q: Quiver, vs: Iterable[int]) -> tuple[list[int], list[int]]:
+    """The vertices of vs and the arrows with both endpoints in vs, as the
+    ascending vertex list and the ascending original arrow indices.
+
+    The cost depends only on vs and the arrows leaving it (one sort of the
+    kept arrows), not on the whole quiver.
+    """
+    inside = set(vs)
+    verts = sorted(inside)
+    n = q.vertex_count
+    if verts and (verts[0] < 0 or verts[-1] >= n):
+        bad = next(v for v in verts if not 0 <= v < n)
+        raise ValueError(f"vertex {bad} out of range")
+    # only arrows leaving vs can lie inside it; sorting restores the
+    # ascending original arrow order
+    arrows, out = q.arrows, q.out_arrows
+    return verts, sorted(
+        a for v in verts for a in out[v] if arrows[a][1] in inside
+    )
+
+
 def induced_subquiver(wq: WeightedQuiver, vs: Iterable[int]) -> InducedSubquiver:
     """The subquiver on vertex set vs: exactly the arrows with both
     endpoints in vs, weights carried over. New vertex and arrow indices
-    follow ascending original index. The cost depends only on vs and the
-    arrows leaving it (one sort of the kept arrows), not on the whole
-    quiver."""
-    q = wq.quiver
-    sub_to_vertex = tuple(sorted(set(vs)))
-    for v in sub_to_vertex:
-        if not (0 <= v < q.vertex_count):
-            raise ValueError(f"vertex {v} out of range")
-    vertex_to_sub = {v: i for i, v in enumerate(sub_to_vertex)}
-    # only arrows leaving vs can lie inside it; sorting restores the
-    # ascending original arrow order
-    arrows = q.arrows
-    sub_to_arrow = tuple(sorted(
-        a for v in sub_to_vertex for a in q.out_arrows[v]
-        if arrows[a][1] in vertex_to_sub
-    ))
+    follow ascending original index (see ``induced_arcs``)."""
+    verts, sub_to_arrow = induced_arcs(wq.quiver, vs)
+    vertex_to_sub = {v: i for i, v in enumerate(verts)}
+    arrows = wq.quiver.arrows
     sub_arrows = [
         (vertex_to_sub[arrows[a][0]], vertex_to_sub[arrows[a][1]])
         for a in sub_to_arrow
     ]
     sub = WeightedQuiver(
-        Quiver(len(sub_to_vertex), sub_arrows),
+        Quiver(len(verts), sub_arrows),
         [wq.weights[a] for a in sub_to_arrow],
     )
     return InducedSubquiver(
         wq=sub,
         vertex_to_sub=vertex_to_sub,
-        sub_to_vertex=sub_to_vertex,
+        sub_to_vertex=tuple(verts),
         arrow_to_sub={a: i for i, a in enumerate(sub_to_arrow)},
-        sub_to_arrow=sub_to_arrow,
+        sub_to_arrow=tuple(sub_to_arrow),
     )

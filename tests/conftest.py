@@ -8,6 +8,13 @@ import pytest
 from quivhom import Quiver, WeightedQuiver
 
 
+HUGE = Fraction(2**200, 3)
+TINY = Fraction(1, 2**200)
+# gains from 2^200/3 down to 1/2^200, both signs
+EXTREME_WEIGHTS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2),
+                   Fraction(3, 5), HUGE, -HUGE, TINY, 1 / HUGE]
+
+
 def random_nonzero_fraction(rng: random.Random, span: int = 6) -> Fraction:
     num = rng.choice([x for x in range(-span, span + 1) if x != 0])
     return Fraction(num, rng.randint(1, span))
@@ -44,6 +51,25 @@ def random_digraph(
         if s == t and not self_loops:
             continue
         arrows.append((s, t))
+    weights = [random_nonzero_fraction(rng) for _ in arrows]
+    return WeightedQuiver(Quiver(n, arrows), weights)
+
+
+def random_multigraph(rng: random.Random, max_vertices: int = 12) -> WeightedQuiver:
+    """Random quiver with self-loops, parallel arrows and (usually) isolated
+    vertices: endpoints come from a random subset of the vertices, and some
+    arrows are repeated. Mostly forward along a hidden order, so both
+    acyclic and cyclic quivers are common."""
+    n = rng.randint(1, max_vertices)
+    used = rng.sample(range(n), rng.randint(1, n))
+    arrows = []
+    for _ in range(rng.randint(0, 2 * n)):
+        s, t = rng.choice(used), rng.choice(used)
+        if rng.random() < 0.9 and used.index(s) > used.index(t):
+            s, t = t, s
+        arrows.append((s, t))
+    for _ in range(rng.randint(0, 3) if arrows else 0):
+        arrows.insert(rng.randrange(len(arrows) + 1), rng.choice(arrows))
     weights = [random_nonzero_fraction(rng) for _ in arrows]
     return WeightedQuiver(Quiver(n, arrows), weights)
 

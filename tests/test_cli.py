@@ -204,10 +204,19 @@ def test_orient_subcommand(edges_file, capsys):
     assert capsys.readouterr().out == "3,7,4\n1,2,1\n"
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_features_bad_threads_exits_2(edges_file, capsys, threads):
+    assert main(["features", edges_file(TRIANGLE_COMMUTING), "--threads", threads]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: threads must be positive\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["fas", "features"])
 def test_broken_invariant_exits_2_without_traceback(edges_file, capsys, monkeypatch, command):
-    # a feedback-arc-set pass that claims its kept arcs are cyclic
-    monkeypatch.setattr("quivhom.fas.topological_order", lambda q: None)
+    # a feedback-arc-set pass whose one acyclicity check rejects the kept
+    # arcs; `fas` and every `features` cell run that same check
+    monkeypatch.setattr("quivhom.fas.arcs_acyclic", lambda n, arcs: False)
     assert main([command, edges_file(TRIANGLE_COMMUTING)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -15,7 +15,13 @@ from quivhom import (
     induced_subquiver,
     k_hop_vertices,
 )
-from conftest import random_acyclic_weighted_quiver, random_digraph
+from conftest import (
+    EXTREME_WEIGHTS,
+    random_acyclic_weighted_quiver,
+    random_digraph,
+    random_multigraph,
+    weak_component_count,
+)
 
 
 def test_star_center_has_trivial_h1():
@@ -99,6 +105,52 @@ def test_acyclic_rows_match_direct_homology_when_fas_keeps_all():
             res = berger_shor(sub.wq, derive_seed(2, v, 1))
             if not res.feedback:
                 assert fm.rows[v][0] == dim_h1(sub.wq)
+
+
+def gain_weighted(rng: random.Random, wq: WeightedQuiver) -> WeightedQuiver:
+    """The same multigraph reweighted from 2^200/3 down to 1/2^200. Most
+    arrows take the ratio of random vertex potentials, so that cycles are
+    often balanced; the rest take a pool weight, which usually breaks
+    the balance."""
+    potential = [rng.choice(EXTREME_WEIGHTS) for _ in range(wq.vertex_count)]
+    unbalancing = rng.choice([0.0, 0.1, 0.5])
+    weights = [
+        rng.choice(EXTREME_WEIGHTS) if rng.random() < unbalancing
+        else potential[s] / potential[t]
+        for s, t in wq.quiver.arrows
+    ]
+    return WeightedQuiver(wq.quiver, weights)
+
+
+def test_feature_cells_match_public_recomposition():
+    rng = random.Random(0xCE11)
+    balanced = unbalanced = loops = parallel = 0
+    for _ in range(200):
+        wq = gain_weighted(rng, random_multigraph(rng))
+        arrows = wq.quiver.arrows
+        loops += any(s == t for s, t in arrows)
+        parallel += len(set(arrows)) < len(arrows)
+        hops, seed = rng.randint(1, 3), rng.randrange(1 << 64)
+        fm = feature_matrix(wq, hops, seed=seed)
+        for v in range(wq.vertex_count):
+            for k in range(1, hops + 1):
+                sub = induced_subquiver(wq, k_hop_vertices(wq.quiver, v, k))
+                dag = berger_shor(sub.wq, derive_seed(seed, v, k)).kept
+                h1 = dim_h1(dag)
+                assert fm.rows[v][k - 1] == h1
+                # cycle rank of the kept DAG's underlying graph
+                cycles = dag.arrow_count - dag.vertex_count + weak_component_count(dag.quiver)
+                balanced += h1 > 0
+                unbalanced += h1 < cycles
+    assert min(balanced, unbalanced, loops, parallel) >= 100, (
+        balanced, unbalanced, loops, parallel)
+
+
+def test_threads_must_be_positive():
+    wq = WeightedQuiver(Quiver(2, [(0, 1)]), [1])
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads must be positive"):
+            feature_matrix(wq, 1, seed=0, threads=threads)
 
 
 def test_hops_must_be_positive():

@@ -24,12 +24,8 @@ from quivhom import (
     dim_h1,
     homology_dims,
 )
-from quivhom.homology import Representation
-
-HUGE = Fraction(2**200, 3)
-TINY = Fraction(1, 2**200)
-POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(3, 5),
-        HUGE, -HUGE, TINY, 1 / HUGE]
+from quivhom.homology import Representation, gain_graph_h1
+from conftest import HUGE, EXTREME_WEIGHTS as POOL
 
 
 def random_dag(rng: random.Random) -> WeightedQuiver:
@@ -132,3 +128,64 @@ def test_gain_path_rejects_zero_gain_and_cycles():
         dim_h1(wq, shifted)
     with pytest.raises(CyclicQuiverError):
         dim_h1(WeightedQuiver(Quiver(2, [(0, 1), (1, 0)]), [2, Fraction(1, 2)]))
+
+
+class ForestGuard:
+    """Gains that fail the test when an arc of a forest component is read."""
+
+    def __init__(self, gains, forest_arcs):
+        self.gains, self.forest_arcs = gains, forest_arcs
+
+    def __len__(self):
+        return len(self.gains)
+
+    def __getitem__(self, i):
+        if i in self.forest_arcs:
+            pytest.fail(f"gain of forest arc {i} was read")
+        return self.gains[i]
+
+
+def mixed_components(rng: random.Random):
+    """Disjoint forest, balanced-cycle and unbalanced-cycle components with
+    their arcs shuffled together, plus isolated vertices. Each cyclic
+    component is a spanning tree plus one arc. Returns the weighted
+    quiver, the component kinds and the positions of the forest arcs."""
+    kinds = [rng.choice(["forest", "balanced", "unbalanced"])
+             for _ in range(rng.randint(1, 6))]
+    arcs, gains, arc_kind = [], [], []
+    n = 0
+    for kind in kinds:
+        size = rng.randint(2, 5)
+        vs = range(n, n + size)
+        n += size
+        potential = {v: rng.choice(POOL) for v in vs}
+        # a random spanning tree, each arrow pointing up the vertex order
+        comp = [(vs[rng.randrange(i)], vs[i]) for i in range(1, size)]
+        if kind != "forest":
+            # closes one cycle; parallel to the tree arrow when size is 2
+            comp.append(tuple(sorted(rng.sample(vs, 2))))
+        for s, t in comp:
+            arcs.append((s, t))
+            gains.append(potential[s] / potential[t])
+            arc_kind.append(kind)
+        if kind == "unbalanced":
+            gains[-1] *= rng.choice([2, -1, HUGE])
+    n += rng.randint(0, 2)
+    order = list(range(len(arcs)))
+    rng.shuffle(order)
+    wq = WeightedQuiver(Quiver(n, [arcs[i] for i in order]), [gains[i] for i in order])
+    forest = {p for p, i in enumerate(order) if arc_kind[i] == "forest"}
+    return wq, kinds, forest
+
+
+def test_gain_core_reads_no_forest_gains():
+    rng = random.Random(0xF0E)
+    mixes = set()
+    for _ in range(100):
+        wq, kinds, forest = mixed_components(rng)
+        q = wq.quiver
+        h1 = gain_graph_h1(q.vertex_count, q.arrows, ForestGuard(wq.weights, forest))
+        # each balanced component adds one dimension, the others none
+        assert h1 == kinds.count("balanced") == nullity_h1(wq)
+        mixes.add(frozenset(kinds))
+    assert frozenset({"forest", "balanced", "unbalanced"}) in mixes

@@ -22,7 +22,7 @@ from quivhom import (
     make_path,
     topological_order,
 )
-from conftest import random_acyclic_weighted_quiver, random_nonzero_fraction
+from conftest import random_acyclic_weighted_quiver, random_multigraph
 
 TRIANGLE = Quiver(3, [(0, 1), (1, 2), (0, 2)])
 SQUARE = Quiver(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
@@ -76,25 +76,6 @@ def test_is_acyclic_self_loop():
     q = Quiver(1, [(0, 0)])
     assert not is_acyclic(q)
     assert find_cycle(q) == [0, 0]
-
-
-def random_multigraph(rng: random.Random, max_vertices: int = 12) -> WeightedQuiver:
-    """Random quiver with self-loops, parallel arrows and (usually) isolated
-    vertices: endpoints come from a random subset of the vertices, and some
-    arrows are repeated. Mostly forward along a hidden order, so both
-    acyclic and cyclic quivers are common."""
-    n = rng.randint(1, max_vertices)
-    used = rng.sample(range(n), rng.randint(1, n))
-    arrows = []
-    for _ in range(rng.randint(0, 2 * n)):
-        s, t = rng.choice(used), rng.choice(used)
-        if rng.random() < 0.9 and used.index(s) > used.index(t):
-            s, t = t, s
-        arrows.append((s, t))
-    for _ in range(rng.randint(0, 3) if arrows else 0):
-        arrows.insert(rng.randrange(len(arrows) + 1), rng.choice(arrows))
-    weights = [random_nonzero_fraction(rng) for _ in arrows]
-    return WeightedQuiver(Quiver(n, arrows), weights)
 
 
 def test_is_acyclic_agrees_with_topological_order():
