@@ -6,7 +6,7 @@ Two routes to the same numbers:
   whose column for an arrow u holds -I at the source block and the weight
   action at the target block (H_n vanishes for n >= 2 on acyclic quivers).
   For a 1-dimensional exact representation that matrix is the incidence
-  matrix of a gain graph, and the nullity is read off a union-find
+  matrix of a gain graph, and the nullity is read off a spanning forest
   instead of an elimination;
 * a brute-force chain complex over the nondegenerate chains of the free
   category, optionally truncated by composite path length, which recomputes
@@ -36,9 +36,6 @@ from .quiver import (
     is_acyclic,
     find_cycle,
 )
-
-_ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class Representation:
@@ -187,46 +184,49 @@ def _unbalanced_components(n: int, arcs: Sequence[tuple[int, int]], gains: Seque
     """Weakly connected components with a cycle of gain product != 1.
 
     A left-kernel vector y of the boundary satisfies y_s = g y_t on every
-    arc s -> t with gain g; on a component those equations have a
+    arc s -> t with gain g = p/q; on a component those equations have a
     one-dimensional solution space when it is balanced and only y = 0
-    otherwise. A union-find with path compression and union by size
-    stores y_v / y_parent(v) exactly and marks a component unbalanced
-    when a closing arc contradicts the stored ratios.
+    otherwise. A breadth-first spanning forest fixes each y_v once, as an
+    unreduced integer pair a_v / b_v, so bit lengths grow with a
+    component's diameter. Every other arc is checked by one
+    cross-multiplication, a_s q b_t == p a_t b_s.
     """
-    parent = list(range(n))
-    ratio = [_ONE] * n
-    size = [1] * n
-    balanced = [True] * n
-
-    def find(v: int) -> tuple[int, Fraction]:
-        """(root, y_v / y_root), pointing every vertex on the way at the root."""
-        path = []
-        while parent[v] != v:
-            path.append(v)
-            v = parent[v]
-        acc = _ONE
-        for u in reversed(path):
-            acc = ratio[u] * acc
-            ratio[u] = acc
-            parent[u] = v
-        return v, acc
-
-    for (s, t), g in zip(arcs, gains):
-        rs, ps = find(s)
-        rt, pt = find(t)
-        if rs == rt:
-            if balanced[rs] and ps != g * pt:
-                balanced[rs] = False
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, (s, t) in enumerate(arcs):
+        adj[s].append(i)
+        adj[t].append(i)
+    pq = [(g.numerator, g.denominator) for g in gains]
+    a, b = [0] * n, [0] * n  # y_v = a[v] / b[v]; b[v] == 0 until reached
+    comp = [0] * n
+    tree = [False] * len(arcs)
+    for root in range(n):
+        if b[root]:
             continue
-        # y_s = g y_t with y_s = ps y_rs and y_t = pt y_rt
-        r = g * pt / ps  # y_rs / y_rt
-        if size[rs] > size[rt]:
-            rs, rt, r = rt, rs, 1 / r
-        parent[rs] = rt
-        ratio[rs] = r
-        size[rt] += size[rs]
-        balanced[rt] = balanced[rt] and balanced[rs]
-    return sum(1 for v in range(n) if parent[v] == v and not balanced[v])
+        a[root] = b[root] = 1
+        comp[root] = root
+        reached = [root]
+        for u in reached:  # grows while iterated, in breadth-first order
+            for i in adj[u]:
+                s, t = arcs[i]
+                if b[s] and b[t]:
+                    continue
+                p, q = pq[i]
+                if b[s]:
+                    a[t], b[t] = a[s] * q, b[s] * p
+                    w = t
+                else:
+                    a[s], b[s] = p * a[t], q * b[t]
+                    w = s
+                tree[i] = True
+                comp[w] = root
+                reached.append(w)
+    unbalanced: set[int] = set()
+    for i, (s, t) in enumerate(arcs):
+        if not tree[i] and comp[s] not in unbalanced:
+            p, q = pq[i]
+            if a[s] * q * b[t] != p * a[t] * b[s]:
+                unbalanced.add(comp[s])
+    return len(unbalanced)
 
 
 def h1_kernel_basis(

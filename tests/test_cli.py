@@ -215,7 +215,8 @@ def test_features_bad_threads_exits_2(edges_file, capsys, threads):
 @pytest.mark.parametrize("command", ["fas", "features"])
 def test_broken_invariant_exits_2_without_traceback(edges_file, capsys, monkeypatch, command):
     # a feedback-arc-set pass whose one acyclicity check rejects the kept
-    # arcs; `fas` and every `features` cell run that same check
+    # arcs; `fas` and every `features` cell whose hood is not a forest run
+    # that same check; every hood of x0 is the whole triangle
     monkeypatch.setattr("quivhom.fas.arcs_acyclic", lambda n, arcs: False)
     assert main([command, edges_file(TRIANGLE_COMMUTING)]) == 2
     err = capsys.readouterr().err

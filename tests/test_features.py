@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from quivhom import (
     induced_subquiver,
     k_hop_vertices,
 )
+from quivhom.fas import berger_shor_arcs
 from conftest import (
     EXTREME_WEIGHTS,
     random_acyclic_weighted_quiver,
@@ -122,6 +124,13 @@ def gain_weighted(rng: random.Random, wq: WeightedQuiver) -> WeightedQuiver:
     return WeightedQuiver(wq.quiver, weights)
 
 
+def kept_hood(wq: WeightedQuiver, v: int, k: int, seed: int) -> WeightedQuiver:
+    """Cell (v, k) recomposed from the public functions: its dim H1 is
+    the cell's value."""
+    sub = induced_subquiver(wq, k_hop_vertices(wq.quiver, v, k))
+    return berger_shor(sub.wq, derive_seed(seed, v, k)).kept
+
+
 def test_feature_cells_match_public_recomposition():
     rng = random.Random(0xCE11)
     balanced = unbalanced = loops = parallel = 0
@@ -134,8 +143,7 @@ def test_feature_cells_match_public_recomposition():
         fm = feature_matrix(wq, hops, seed=seed)
         for v in range(wq.vertex_count):
             for k in range(1, hops + 1):
-                sub = induced_subquiver(wq, k_hop_vertices(wq.quiver, v, k))
-                dag = berger_shor(sub.wq, derive_seed(seed, v, k)).kept
+                dag = kept_hood(wq, v, k, seed)
                 h1 = dim_h1(dag)
                 assert fm.rows[v][k - 1] == h1
                 # cycle rank of the kept DAG's underlying graph
@@ -144,6 +152,46 @@ def test_feature_cells_match_public_recomposition():
                 unbalanced += h1 < cycles
     assert min(balanced, unbalanced, loops, parallel) >= 100, (
         balanced, unbalanced, loops, parallel)
+
+
+@pytest.fixture
+def fas_calls(monkeypatch):
+    """Vertex counts of the berger_shor_arcs calls that feature cells make."""
+    calls = []
+
+    def counting(n, arcs, seed):
+        calls.append(n)
+        return berger_shor_arcs(n, arcs, seed)
+
+    monkeypatch.setattr("quivhom.features.berger_shor_arcs", counting)
+    return calls
+
+
+@pytest.mark.parametrize("arrows, weights, calls", [
+    ([(0, 1), (0, 2), (1, 3), (2, 4)], [2, 3, 5, 7], 0),  # forest
+    ([(0, 0), (0, 1), (1, 1)], [2, 3, 5], 0),  # only self-loops close a cycle
+    ([(0, 1), (0, 1)], [3, 3], 1),  # parallel arcs
+    ([(0, 1), (1, 0)], [3, Fraction(1, 3)], 1),  # 2-cycle
+    ([(0, 1), (1, 2), (0, 2)], [2, 3, 6], 1),  # triangle
+])
+def test_forest_hoods_skip_the_fas(fas_calls, arrows, weights, calls):
+    wq = WeightedQuiver(Quiver(5, arrows), weights)
+    for seed in range(8):
+        fas_calls.clear()
+        # every arrow is inside the hop-1 hood of vertex 0
+        assert feature_vector(wq, 0, 1, seed) == (dim_h1(kept_hood(wq, 0, 1, seed)),)
+        assert len(fas_calls) == calls
+        rows = feature_matrix(wq, 2, seed).rows
+        assert rows == tuple(
+            tuple(dim_h1(kept_hood(wq, v, k, seed)) for k in (1, 2)) for v in range(5)
+        )
+
+
+def test_fas_runs_from_the_first_hop_that_closes_a_cycle(fas_calls):
+    # hop 1 of vertex 0 is the arc 0 -> 1; hop 2 closes 0 -> 1 -> 2 -> 0
+    wq = WeightedQuiver(Quiver(3, [(0, 1), (1, 2), (2, 0)]), [2, 3, 5])
+    assert feature_vector(wq, 0, 4, seed=1) == (0, 0, 0, 0)
+    assert fas_calls == [3, 3, 3]
 
 
 def test_threads_must_be_positive():

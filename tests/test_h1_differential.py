@@ -189,3 +189,57 @@ def test_gain_core_reads_no_forest_gains():
         assert h1 == kinds.count("balanced") == nullity_h1(wq)
         mixes.add(frozenset(kinds))
     assert frozenset({"forest", "balanced", "unbalanced"}) in mixes
+
+
+def test_negative_gains_balance_through_sign_products():
+    # y_0 = -y_1 and y_1 = -y_2, so the arrow 0 -> 2 balances with gain 1
+    for direct, h1 in ((1, 1), (-1, 0), (Fraction(-1, 2), 0)):
+        wq = WeightedQuiver(Quiver(3, [(0, 1), (1, 2), (0, 2)]), [-1, -1, direct])
+        assert dim_h1(wq) == h1 == nullity_h1(wq) == oracle_h1(wq)
+
+
+def random_64bit(rng: random.Random) -> Fraction:
+    """A gain of either sign with 64-bit numerator and denominator."""
+    num, den = ((1 << 63) | rng.getrandbits(63) for _ in range(2))
+    return Fraction(rng.choice([-1, 1]) * num, den)
+
+
+def test_64_bit_gains_match_rank_and_oracle():
+    rng = random.Random(0x64)
+    seen = set()
+    for _ in range(100):
+        wq = random_dag(rng)
+        # random_dag's potentials re-drawn with 64-bit numerators and denominators
+        potential = [random_64bit(rng) for _ in range(wq.vertex_count)]
+        weights = [potential[s] / potential[t] if rng.random() < 0.8 else random_64bit(rng)
+                   for s, t in wq.quiver.arrows]
+        wq = WeightedQuiver(wq.quiver, weights)
+        h1 = dim_h1(wq)
+        assert h1 == nullity_h1(wq) == oracle_h1(wq)
+        seen.add(h1)
+    assert len(seen) >= 3, sorted(seen)
+
+
+def test_long_cycle_is_balanced_until_one_gain_moves():
+    rng = random.Random(0x1C)
+    n = 500
+    label = list(range(n))
+    rng.shuffle(label)
+    potential = [random_64bit(rng) for _ in range(n)]
+    # the cycle label[0] - label[1] - ... - label[0], randomly oriented
+    # except that edges 0 and 1 point opposite ways, so no directed cycle
+    arrows, weights = [], []
+    for i in range(n):
+        s, t = label[i], label[(i + 1) % n]
+        if i == 1 or (i > 1 and rng.random() < 0.5):
+            s, t = t, s
+        arrows.append((s, t))
+        weights.append(potential[s] / potential[t])
+    order = list(range(n))
+    rng.shuffle(order)
+    q = Quiver(n, [arrows[i] for i in order])
+    weights = [weights[i] for i in order]
+    assert dim_h1(WeightedQuiver(q, weights)) == 1
+    i = rng.randrange(n)
+    weights[i] *= Fraction(2**64 + 1, 2**64)
+    assert dim_h1(WeightedQuiver(q, weights)) == 0
