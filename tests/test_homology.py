@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -319,3 +320,37 @@ def test_float_mode_chain_complex_builds_and_agrees():
         dims_float = homology_dims(build_chain_complex(wq, rep, n_max=3))
         dims_exact = homology_dims(build_chain_complex(wq, n_max=3))
         assert dims_float == dims_exact
+
+
+PINNED_CHAIN_COMPLEX_SHA256 = (
+    "62fb7bdc1321decd6edc6cbac05c6e106e519f88eecc7d8ac9268d62da1aba43")
+
+
+def _hash_matrix(h, m: DenseMatrix) -> None:
+    h.update(f"{m.rows}x{m.cols}:{','.join(str(x) for x in m.entries)};".encode())
+
+
+def test_chain_complex_pinned_digest():
+    # every boundary (scalar exact, scalar float, a 2-dimensional action)
+    # and a chain map with a non-square phi, on 50 seeded DAGs
+    reps = [
+        scalar_representation(),
+        scalar_representation(FLOAT),
+        Representation(2, lambda w: DenseMatrix.from_rows([[w, 0], [0, w * w]])),
+    ]
+    doubled = Representation(2, lambda w: DenseMatrix.from_rows([[w, 0], [0, w]]))
+    phi = DenseMatrix.from_rows([[1], [2]])
+    rng = random.Random(4321)
+    h = hashlib.sha256()
+    for _ in range(50):
+        wq = random_acyclic_weighted_quiver(rng)
+        for rep in reps:
+            for ell in (None, 1, 2):
+                for m in build_chain_complex(wq, rep, n_max=3, ell=ell).boundaries[1:]:
+                    _hash_matrix(h, m)
+        f = QuiverMorphism(tuple(range(wq.vertex_count)), tuple(range(wq.arrow_count)))
+        src = build_chain_complex(wq, n_max=3)
+        dst = build_chain_complex(wq, doubled, n_max=3)
+        for m in induced_chain_map(f, phi, src, dst):
+            _hash_matrix(h, m)
+    assert h.hexdigest() == PINNED_CHAIN_COMPLEX_SHA256
