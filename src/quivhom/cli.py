@@ -137,6 +137,9 @@ def cmd_fas(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # the table's last line compares H1, so degree 2 must be in the complex
+    if args.n_max < 2:
+        raise ValueError("n-max must be at least 2")
     wq, ids = _open_edges(args.edges, _epsilon(args))
     wq = _dagify(wq, args, ids)
     mode, tol = _field_args(args)
@@ -241,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("edges", help="edge list path, or - for stdin")
     _add_common(p, dagify=True)
     _add_field(p)
-    p.add_argument("--n-max", type=int, default=3, help="top chain degree")
+    p.add_argument("--n-max", type=int, default=3, help="top chain degree (at least 2)")
     p.add_argument("--ell", type=int, default=None,
                    help="truncate chains by composite path length")
     p.add_argument("--chain-cap", type=int, default=200_000,

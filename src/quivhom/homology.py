@@ -12,16 +12,20 @@ Two routes to the same numbers:
   category, optionally truncated by composite path length, which recomputes
   the same homology from first principles and is used to cross-check the
   fast path.
+
+Every matrix here (boundaries and chain maps) is assembled by one helper
+that expands each cell's faces into sparse scalar columns {row: coeff},
+whatever the coefficient dimension; boundary-of-boundary == 0 is checked
+on those columns before they are stored as DenseMatrix objects for rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
-    CyclicQuiverError,
     FieldModeError,
     InvariantError,
     MorphismError,
@@ -32,9 +36,8 @@ from .quiver import (
     NChain,
     Path,
     WeightedQuiver,
+    _require_acyclic,
     enumerate_nchains,
-    is_acyclic,
-    find_cycle,
 )
 
 @dataclass(frozen=True)
@@ -67,14 +70,6 @@ def scalar_representation(mode: str = EXACT) -> Representation:
     return Representation(1, lambda w: DenseMatrix(1, 1, (Fraction(w),), EXACT), EXACT)
 
 
-def _require_acyclic(wq: WeightedQuiver) -> None:
-    if not is_acyclic(wq.quiver):
-        raise CyclicQuiverError(
-            "weighted quiver homology requires an acyclic quiver",
-            cycle=find_cycle(wq.quiver),
-        )
-
-
 def _invertible_action(rep: Representation, w: Fraction) -> DenseMatrix:
     """The action of w, verified invertible (a 1 x 1 action needs only a
     nonzero entry, so no rank is computed for it)."""
@@ -102,6 +97,45 @@ def path_weight(wq: WeightedQuiver, p: Path) -> Fraction:
     return w
 
 
+def _scalar_columns(
+    cells: Iterable[Iterable[tuple[int, int, DenseMatrix | None]]], d: int, mode: str
+) -> list[dict]:
+    """Expand each cell's faces into d scalar columns {row: coeff}.
+
+    A face is (row block i, sign, block), ``block`` being an h x d
+    DenseMatrix of coefficients or None for the d x d identity (h = d).
+    Coordinate c of cell j is column j * d + c; coordinate r of row block
+    i is row i * h + r. Entries that cancel to zero are dropped.
+    """
+    one = 1.0 if mode == FLOAT else Fraction(1)
+    out: list[dict] = []
+    for faces in cells:
+        cols: list[dict] = [{} for _ in range(d)]
+        for i, sign, block in faces:
+            if block is None:
+                entries = [(i * d + c, c, one) for c in range(d)]
+            else:
+                h = block.rows
+                entries = [(i * h + r, c, block.at(r, c))
+                           for r in range(h) for c in range(d)]
+            for row, c, x in entries:
+                x = x if sign > 0 else -x
+                col = cols[c]
+                col[row] = col[row] + x if row in col else x
+        out.extend({r: x for r, x in col.items() if x != 0} for col in cols)
+    return out
+
+
+def _densify(cols: list[dict], rows: int, mode: str) -> DenseMatrix:
+    """The rows x len(cols) DenseMatrix holding the scalar columns."""
+    ncols = len(cols)
+    ent = [0.0 if mode == FLOAT else Fraction(0)] * (rows * ncols)
+    for c, col in enumerate(cols):
+        for r, x in col.items():
+            ent[r * ncols + c] = x
+    return DenseMatrix(rows, ncols, tuple(ent), mode)
+
+
 def boundary1_matrix(wq: WeightedQuiver, rep: Representation | None = None) -> DenseMatrix:
     """The degree-1 boundary matrix of (Q, w) with coefficients in rep.
 
@@ -110,22 +144,12 @@ def boundary1_matrix(wq: WeightedQuiver, rep: Representation | None = None) -> D
     at the target. dim H1 equals its nullity.
     """
     rep = rep or scalar_representation()
-    _require_acyclic(wq)
+    _require_acyclic(wq.quiver, "weighted quiver homology")
     actions = _check_invertible(rep, wq.weights)
-    d = rep.dim
-    q = wq.quiver
-    zero = 0.0 if rep.mode == FLOAT else Fraction(0)
-    one = 1.0 if rep.mode == FLOAT else Fraction(1)
-    rows = q.vertex_count * d
-    cols = q.arrow_count * d
-    ent = [zero] * (rows * cols)
-    for a, (s, t) in enumerate(q.arrows):
-        act = actions[wq.weights[a]]
-        for r in range(d):
-            for c in range(d):
-                ent[(t * d + r) * cols + a * d + c] += act.at(r, c)
-            ent[(s * d + r) * cols + a * d + r] -= one
-    return DenseMatrix(rows, cols, tuple(ent), rep.mode)
+    cells = [((t, 1, actions[w]), (s, -1, None))
+             for (s, t), w in zip(wq.quiver.arrows, wq.weights)]
+    cols = _scalar_columns(cells, rep.dim, rep.mode)
+    return _densify(cols, wq.vertex_count * rep.dim, rep.mode)
 
 
 def dim_h1(wq: WeightedQuiver, rep: Representation | None = None, tol: float = 1e-9) -> int:
@@ -136,7 +160,7 @@ def dim_h1(wq: WeightedQuiver, rep: Representation | None = None, tol: float = 1
     """
     rep = rep or scalar_representation()
     if rep.dim == 1 and rep.mode == EXACT:
-        _require_acyclic(wq)
+        _require_acyclic(wq.quiver, "weighted quiver homology")
         gains = [_invertible_action(rep, w).at(0, 0) for w in wq.weights]
         q = wq.quiver
         return gain_graph_h1(q.vertex_count, q.arrows, gains)
@@ -248,7 +272,9 @@ class ChainComplexSlice:
     degree n. ``boundaries[n]`` maps degree n to degree n-1 (index 0 is
     None). The d0 face of a chain is twisted by the action of the weight
     of its first morphism; middle faces compose consecutive morphisms with
-    alternating signs; the last face drops the final morphism.
+    alternating signs; the last face drops the final morphism. Each
+    boundary is assembled from sparse scalar columns, one per chain x
+    coordinate, and stored as a DenseMatrix.
     """
 
     wq: WeightedQuiver
@@ -296,9 +322,10 @@ def build_chain_complex(
     ell: int | None = None,
 ) -> ChainComplexSlice:
     """Enumerate chain bases up to degree n_max and build all boundary
-    matrices; verifies boundary-of-boundary == 0 during construction."""
+    matrices from sparse scalar columns; boundary-of-boundary == 0 is
+    verified on those columns, before they are densified."""
     rep = rep or scalar_representation()
-    _require_acyclic(wq)
+    _require_acyclic(wq.quiver, "weighted quiver homology")
     if n_max < 1:
         raise ValueError("n_max must be positive")
     actions = _check_invertible(rep, wq.weights)
@@ -319,44 +346,23 @@ def build_chain_complex(
         bases.append(chains)
         index.append({c: i for i, c in enumerate(chains)})
 
-    # per-degree columns: chain index -> list of (face row index, coeff block)
-    sparse: list[list[list[tuple[int, DenseMatrix]]]] = [[]]
-    identity = DenseMatrix.identity(d, rep.mode)
-    neg_identity = DenseMatrix.zeros(d, d, rep.mode).sub(identity)
+    # per-degree scalar columns; truncation closure: faces never gain
+    # composite length, so a missing face key would mean a broken basis
+    sparse: list[list[dict]] = [[]]
     for n in range(1, n_max + 1):
-        cols: list[list[tuple[int, DenseMatrix]]] = []
         face_index = index[n - 1]
-        for chain in bases[n]:
-            col: list[tuple[int, DenseMatrix]] = []
-            for key, sign, w in _chain_faces(wq, chain):
-                # truncation closure: faces never gain composite length,
-                # so a missing key would mean a broken basis
-                fi = face_index[key]
-                if w is not None:
-                    block = action_of(w)
-                    if sign < 0:
-                        block = DenseMatrix.zeros(d, d, rep.mode).sub(block)
-                else:
-                    block = identity if sign > 0 else neg_identity
-                col.append((fi, block))
-            cols.append(col)
-        sparse.append(cols)
+        cells = (
+            [(face_index[key], sign, None if w is None else action_of(w))
+             for key, sign, w in _chain_faces(wq, chain)]
+            for chain in bases[n]
+        )
+        sparse.append(_scalar_columns(cells, d, rep.mode))
 
     _verify_square_zero(sparse, d, rep.mode)
 
     boundaries: list[DenseMatrix | None] = [None]
-    zero = 0.0 if rep.mode == FLOAT else Fraction(0)
     for n in range(1, n_max + 1):
-        rows = len(bases[n - 1]) * d
-        ncols = len(bases[n]) * d
-        ent = [zero] * (rows * ncols)
-        for ci, col in enumerate(sparse[n]):
-            for fi, block in col:
-                for r in range(d):
-                    base = (fi * d + r) * ncols + ci * d
-                    for c in range(d):
-                        ent[base + c] += block.at(r, c)
-        boundaries.append(DenseMatrix(rows, ncols, tuple(ent), rep.mode))
+        boundaries.append(_densify(sparse[n], len(bases[n - 1]) * d, rep.mode))
 
     return ChainComplexSlice(
         wq=wq,
@@ -368,34 +374,27 @@ def build_chain_complex(
     )
 
 
-def _verify_square_zero(sparse, d: int, mode: str) -> None:
-    """Check boundary(n-1) @ boundary(n) == 0, column by column.
+def _verify_square_zero(sparse: list[list[dict]], d: int, mode: str) -> None:
+    """Check boundary(n-1) @ boundary(n) == 0 on the scalar columns.
 
     Exact mode demands literal zeros; float mode allows rounding noise
-    (float(a)*float(b) need not equal float(a*b))."""
+    (float(a)*float(b) need not equal float(a*b)). The error names the
+    degree and the chain whose column fails."""
     for n in range(2, len(sparse)):
-        for ci, col in enumerate(sparse[n]):
-            acc: dict[int, DenseMatrix] = {}
-            for fi, block in col:
-                for gi, block2 in sparse[n - 1][fi]:
-                    prod = block2.matmul(block)
-                    cur = acc.get(gi)
-                    acc[gi] = prod if cur is None else _block_add(cur, prod)
-            for gi, total in acc.items():
-                if mode == FLOAT:
-                    ok = all(abs(x) < 1e-9 for x in total.entries)
-                else:
-                    ok = total.is_zero()
-                if not ok:
-                    raise InvariantError(
-                        f"boundary squared nonzero at degree {n}, column {ci}"
-                    )
-
-
-def _block_add(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    return DenseMatrix(
-        a.rows, a.cols, tuple(x + y for x, y in zip(a.entries, b.entries)), a.mode
-    )
+        below = sparse[n - 1]
+        for j, col in enumerate(sparse[n]):
+            acc: dict = {}
+            for i, x in col.items():
+                for g, y in below[i].items():
+                    acc[g] = x * y if g not in acc else acc[g] + x * y
+            if mode == FLOAT:
+                ok = all(abs(v) < 1e-9 for v in acc.values())
+            else:
+                ok = not any(acc.values())
+            if not ok:
+                raise InvariantError(
+                    f"boundary squared nonzero at degree {n}, column {j // d}"
+                )
 
 
 def homology_dims(c: ChainComplexSlice, tol: float = 1e-9) -> list[int]:
@@ -473,14 +472,10 @@ def induced_chain_map(
         arrows = tuple(f.arrow_map[a] for a in p.arrows)
         return Path(arrows, f.vertex_map[p.source], f.vertex_map[p.target])
 
-    d_src, d_dst = src.rep.dim, dst.rep.dim
-    zero = 0.0 if phi.mode == FLOAT else Fraction(0)
     out: list[DenseMatrix] = []
     for n in range(src.n_max + 1):
-        rows = len(dst.bases[n]) * d_dst
-        cols = len(src.bases[n]) * d_src
-        ent = [zero] * (rows * cols)
         dst_index = {c: i for i, c in enumerate(dst.bases[n])}
+        cells = []
         for ci, chain in enumerate(src.bases[n]):
             if n == 0:
                 image = f.vertex_map[chain]
@@ -490,9 +485,7 @@ def induced_chain_map(
             if fi is None:
                 raise MorphismError(f"image of degree-{n} basis chain {ci} "
                                     "is missing from the target basis")
-            for r in range(d_dst):
-                base = (fi * d_dst + r) * cols + ci * d_src
-                for c in range(d_src):
-                    ent[base + c] += phi.at(r, c)
-        out.append(DenseMatrix(rows, cols, tuple(ent), phi.mode))
+            cells.append([(fi, 1, phi)])
+        cols = _scalar_columns(cells, src.rep.dim, phi.mode)
+        out.append(_densify(cols, len(dst.bases[n]) * dst.rep.dim, phi.mode))
     return out

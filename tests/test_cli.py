@@ -177,6 +177,16 @@ def test_oracle_truncated(edges_file, capsys):
     assert "truncated H1 = 1" in out
 
 
+@pytest.mark.parametrize("ell", [[], ["--ell", "1"]], ids=["full", "ell1"])
+def test_oracle_n_max_below_2_exits_2(edges_file, capsys, ell):
+    argv = ["oracle", edges_file(TRIANGLE_COMMUTING), "--n-max", "1"] + ell
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: n-max must be at least 2\n"
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_oracle_chain_cap_exits_3(edges_file, capsys):
     assert main(["oracle", edges_file(TRIANGLE_COMMUTING), "--chain-cap", "2"]) == 3
     assert "cap" in capsys.readouterr().err

@@ -121,6 +121,23 @@ def test_two_dimensional_action_takes_matrix_path(count_ranks):
         assert h1 == dim_h1(wq) + dim_h1(wq, square)
 
 
+def test_two_dimensional_action_splits_in_every_degree():
+    # chains of degree >= 2 carry 2 x 2 blocks of composite-path weights
+    # in their boundaries, which a single-arrow quiver never reaches
+    rep = Representation(2, diagonal_action)
+    square = Representation(1, square_action)
+    rng = random.Random(0xD3)
+    deep = 0
+    for _ in range(40):
+        wq = random_dag(rng)
+        c = build_chain_complex(wq, rep, n_max=3)
+        scalar = homology_dims(build_chain_complex(wq, n_max=3))
+        squared = homology_dims(build_chain_complex(wq, square, n_max=3))
+        assert homology_dims(c) == [a + b for a, b in zip(scalar, squared)]
+        deep += len(c.bases[2]) > 0
+    assert deep >= 10
+
+
 def test_gain_path_rejects_zero_gain_and_cycles():
     shifted = Representation(1, lambda w: DenseMatrix.from_rows([[w - 1]]))
     wq = WeightedQuiver(Quiver(2, [(0, 1)]), [1])

@@ -66,8 +66,10 @@ def test_boundary1_single_arrow():
 
 def test_boundary1_rejects_cycle():
     wq = WeightedQuiver(Quiver(2, [(0, 1), (1, 0)]), [1, 1])
-    with pytest.raises(CyclicQuiverError):
+    with pytest.raises(CyclicQuiverError) as exc:
         boundary1_matrix(wq)
+    assert str(exc.value) == "weighted quiver homology requires an acyclic quiver"
+    assert exc.value.cycle in ([0, 1, 0], [1, 0, 1])
 
 
 def test_dim_h1_triangle_cases():
@@ -179,10 +181,15 @@ def test_boundary_squared_is_zero():
                 assert c.boundaries[n - 1].matmul(c.boundaries[n]).is_zero()
 
 
-def test_nonmultiplicative_action_fails_square_zero_check():
+@pytest.mark.parametrize("rep", [
+    Representation(1, lambda w: DenseMatrix.from_rows([[w + 1]])),
+    Representation(2, lambda w: DenseMatrix.from_rows([[w, 0], [0, w + 1]])),
+    Representation(1, lambda w: DenseMatrix.from_rows([[w + 1]], FLOAT), FLOAT),
+], ids=["scalar", "two-dimensional", "float"])
+def test_nonmultiplicative_action_fails_square_zero_check(rep):
     # act(w) = [[w + 1]] breaks act(w1 * w2) == act(w2) @ act(w1), which
-    # the d0 face of a composable pair relies on
-    rep = Representation(1, lambda w: DenseMatrix.from_rows([[w + 1]]))
+    # the d0 face of a composable pair relies on; so does any action
+    # with w + 1 on its diagonal
     wq = WeightedQuiver(Quiver(3, [(0, 1), (1, 2)]), [2, 3])
     with pytest.raises(InvariantError):
         build_chain_complex(wq, rep, n_max=2)
