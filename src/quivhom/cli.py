@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 I/O or parse failure, 2 precondition violation
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -60,7 +61,12 @@ def _open_edges(path: str, epsilon: Fraction | None):
 def _epsilon(args) -> Fraction | None:
     if args.zero_weight_epsilon is None:
         return None
-    eps = Fraction(args.zero_weight_epsilon)
+    try:
+        eps = Fraction(args.zero_weight_epsilon)
+    except (ValueError, ZeroDivisionError):
+        raise WeightError(
+            f"zero-weight epsilon {args.zero_weight_epsilon!r} is not a rational"
+        ) from None
     if eps <= 0:
         raise WeightError("zero-weight epsilon must be positive")
     return eps
@@ -68,8 +74,8 @@ def _epsilon(args) -> Fraction | None:
 
 def _field_args(args) -> tuple[str, float]:
     mode = FLOAT if args.field == "float" else EXACT
-    if mode == FLOAT and args.tol <= 0:
-        raise WeightError("float mode needs a positive tolerance")
+    if mode == FLOAT and not (math.isfinite(args.tol) and args.tol > 0):
+        raise WeightError("float mode needs a finite positive tolerance")
     return mode, args.tol
 
 
@@ -228,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("edges", help="edge list path, or - for stdin")
     _add_common(p)
     p.add_argument("-H", "--hops", type=int, default=3, help="hop levels (columns)")
-    p.add_argument("--threads", type=int, default=1, help="parallel vertex workers")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; must be positive, and "
+                        "changes neither the output nor the thread count")
     p.add_argument("--output", "-o", default="-", help="output path, or - for stdout")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_features)

@@ -1,13 +1,13 @@
 """Randomized feedback arc set (Berger-Shor) and DAG extraction.
 
-Vertices are visited in a seeded uniform random permutation. At each
-vertex the smaller of the two incident sides (incoming vs outgoing, among
-arcs not yet claimed) is sacrificed to the feedback set and both sides
-leave the working set; on a tie the incoming side is sacrificed. Each arc
-is therefore claimed exactly once, at whichever endpoint comes first, and
-all arcs claimed at a vertex point the same way, which is what makes the
-kept arcs acyclic. Self-loops can never be kept and go straight to the
-feedback set.
+Vertices are visited in a seeded uniform random permutation. Each non-loop
+arc is claimed by whichever endpoint comes first; at each vertex the
+smaller claimed side (incoming vs outgoing) goes to the feedback set, the
+incoming side on a tie. All arcs kept at a vertex point the same way, which
+makes the kept arcs acyclic. So two counting passes replace the visit: count
+the in-arcs cin[v] and out-arcs cout[v] that each vertex claims, then keep
+s -> t iff s comes first and cout[s] >= cin[s], or t comes first and
+cin[t] > cout[t]. Self-loops are claimed by no vertex and never kept.
 """
 
 from __future__ import annotations
@@ -47,27 +47,21 @@ def berger_shor_arcs(
     """
     perm = list(range(n))
     random.Random(seed).shuffle(perm)
-    ins: list[list[int]] = [[] for _ in range(n)]
-    outs: list[list[int]] = [[] for _ in range(n)]
-    for a, (s, t) in enumerate(arcs):
-        # a self-loop joins no side, so it is never kept
-        if s != t:
-            outs[s].append(a)
-            ins[t].append(a)
-
-    claimed = [False] * len(arcs)
-    keep = [False] * len(arcs)
-    for v in perm:
-        vin = [a for a in ins[v] if not claimed[a]]
-        vout = [a for a in outs[v] if not claimed[a]]
-        for a in vin if len(vin) > len(vout) else vout:
-            keep[a] = True
-        for a in vin:
-            claimed[a] = True
-        for a in vout:
-            claimed[a] = True
-
-    kept = [a for a, k in enumerate(keep) if k]
+    pos = [0] * n
+    for i, v in enumerate(perm):
+        pos[v] = i
+    cin = [0] * n
+    cout = [0] * n
+    for s, t in arcs:
+        if pos[s] < pos[t]:
+            cout[s] += 1
+        elif pos[s] > pos[t]:
+            cin[t] += 1
+    kept = [
+        a for a, (s, t) in enumerate(arcs)
+        if (pos[s] < pos[t] and cout[s] >= cin[s])
+        or (pos[s] > pos[t] and cin[t] > cout[t])
+    ]
     if not arcs_acyclic(n, [arcs[a] for a in kept]):
         raise InvariantError("feedback-arc-set pass kept a cycle")
     return kept, perm

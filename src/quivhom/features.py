@@ -4,13 +4,12 @@ For each vertex v and hop radius k = 1..H: take the forward k-hop
 neighborhood of v, induce the subquiver, break cycles with the seeded
 feedback-arc-set pass, and record dim H1 of the resulting weighted DAG.
 The N x H matrix of those dimensions is the node feature matrix; rerunning
-with the same seed reproduces it exactly, regardless of thread count,
-because every (vertex, hop) pair works from its own derived seed.
+with the same seed reproduces it exactly, because every (vertex, hop) pair
+works from its own derived seed. Rows are built serially, in one thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -113,23 +112,14 @@ def feature_matrix(
     *,
     threads: int = 1,
 ) -> FeatureMatrix:
-    """Feature vectors for every vertex, assembled row-wise.
+    """Feature vectors for every vertex, built serially row by row.
 
-    The per-(vertex, hop) seeds are derived from the base seed, so serial
-    and parallel runs produce identical matrices.
+    ``threads`` is accepted for compatibility and must be positive; it
+    changes neither the output nor the number of threads, which is one.
     """
     if hops < 1:
         raise ValueError("hops must be positive")
     if threads < 1:
         raise ValueError("threads must be positive")
-    vertices = range(wq.vertex_count)
-
-    def one(v: int) -> tuple[int, ...]:
-        return feature_vector(wq, v, hops, seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(one, vertices))
-    else:
-        rows = tuple(one(v) for v in vertices)
+    rows = tuple(feature_vector(wq, v, hops, seed) for v in range(wq.vertex_count))
     return FeatureMatrix(rows=rows, hops=hops, seed=seed)

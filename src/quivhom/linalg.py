@@ -139,7 +139,7 @@ class DenseMatrix:
         if self.rows == 0 or self.cols == 0:
             return 0
         if self.mode == FLOAT:
-            if tol < 0:
+            if not tol >= 0:  # also rejects NaN, which compares false
                 raise ValueError("tol must be nonnegative")
             return _rank_float(self, tol)
         return _rank_sparse(_integer_rows(self))

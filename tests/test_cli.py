@@ -234,6 +234,33 @@ def test_broken_invariant_exits_2_without_traceback(edges_file, capsys, monkeypa
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["homology", "oracle"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+def test_float_mode_needs_a_finite_positive_tolerance(edges_file, capsys, command, tol):
+    # NaN and infinity compare false against every pivot and would rank
+    # the boundary matrix 0, reporting dim H1 = 3 for this triangle
+    argv = [command, edges_file(TRIANGLE_COMMUTING), "--field", "float", f"--tol={tol}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: float mode needs a finite positive tolerance\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["homology", "features", "fas", "oracle", "jaccard"])
+@pytest.mark.parametrize("epsilon", ["1/0", "abc", ""])
+def test_malformed_zero_weight_epsilon_exits_2(edges_file, tmp_path, capsys, command, epsilon):
+    argv = [command, edges_file(TRIANGLE_COMMUTING)]
+    if command == "jaccard":
+        attrs = tmp_path / "attrs.csv"
+        attrs.write_text("x0,1,0\nx1,0,1\nx2,1,1\n")
+        argv.append(str(attrs))
+    assert main(argv + ["--zero-weight-epsilon", epsilon]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: zero-weight epsilon ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_flag_is_an_error(edges_file):
     with pytest.raises(SystemExit):
         main(["homology", edges_file(TRIANGLE_COMMUTING), "--no-such-flag"])

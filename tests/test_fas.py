@@ -6,7 +6,8 @@ from fractions import Fraction
 
 from quivhom import Quiver, WeightedQuiver, berger_shor, is_acyclic, to_dag
 from quivhom.cli import main
-from conftest import random_digraph
+from quivhom.fas import berger_shor_arcs
+from conftest import random_digraph, random_multigraph
 
 
 def wquiver(n, arrows):
@@ -90,6 +91,42 @@ def test_bound_with_self_loops_counts_non_loop_arcs():
         assert all(wq.quiver.arrows[a][0] != wq.quiver.arrows[a][1]
                    for a in res.kept_arrows)
         assert len(res.kept_arrows) * 2 >= wq.arrow_count - loops
+
+
+def visit_order_reference(n, arcs, seed):
+    """Berger-Shor as a literal visit: walk the seeded permutation, and at
+    each vertex keep the larger side of its arcs not yet claimed (the
+    outgoing side on a tie), then claim both sides."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    ins = [[] for _ in range(n)]
+    outs = [[] for _ in range(n)]
+    for a, (s, t) in enumerate(arcs):
+        # a self-loop joins no side, so it is never kept
+        if s != t:
+            outs[s].append(a)
+            ins[t].append(a)
+    claimed = [False] * len(arcs)
+    keep = [False] * len(arcs)
+    for v in perm:
+        vin = [a for a in ins[v] if not claimed[a]]
+        vout = [a for a in outs[v] if not claimed[a]]
+        for a in vin if len(vin) > len(vout) else vout:
+            keep[a] = True
+        for a in vin + vout:
+            claimed[a] = True
+    return [a for a, k in enumerate(keep) if k], perm
+
+
+def test_counting_passes_match_the_visit_order_reference():
+    rng = random.Random(0xB5)
+    cases = [(0, []), (1, [(0, 0)]), (1, [(0, 0), (0, 0)])]
+    for _ in range(2000):
+        q = random_multigraph(rng).quiver
+        cases.append((q.vertex_count, q.arrows))
+    for n, arcs in cases:
+        for seed in (0, 1, 7, rng.randrange(1 << 64)):
+            assert berger_shor_arcs(n, arcs, seed) == visit_order_reference(n, arcs, seed)
 
 
 def pinned_fas_graph() -> tuple[WeightedQuiver, str]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -57,10 +58,15 @@ def test_feature_matrix_rerun_is_identical():
     assert a.rows == b.rows
 
 
-def test_feature_matrix_thread_count_does_not_change_result():
+def test_feature_matrix_thread_count_does_not_change_result(monkeypatch):
+    def refuse(self):
+        raise AssertionError("feature_matrix started a thread")
+
     rng = random.Random(29)
     wq = random_digraph(rng, max_vertices=25, max_arrows=70)
     serial = feature_matrix(wq, 3, seed=11, threads=1)
+    # rows are built serially whatever `threads` says
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     parallel = feature_matrix(wq, 3, seed=11, threads=4)
     assert serial.rows == parallel.rows
 

@@ -200,6 +200,13 @@ def test_float_rank_respects_tolerance():
     assert m.rank(tol=1e-15) == 2
 
 
+@pytest.mark.parametrize("tol", [-1e-9, float("nan")])
+def test_float_rank_rejects_negative_and_nan_tolerance(tol):
+    m = DenseMatrix.from_rows([[1.0, 1.0], [1.0, 1.0]], mode=FLOAT)
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        m.rank(tol)
+
+
 def test_from_rows_rejects_ragged_input():
     with pytest.raises(ValueError):
         DenseMatrix.from_rows([[1, 2], [3]])
