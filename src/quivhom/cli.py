@@ -133,12 +133,16 @@ def cmd_fas(args) -> int:
     res = berger_shor(wq, args.seed)
     if args.dot is not None:
         _write_text(args.dot, to_dot(wq, ids, feedback=res.feedback))
-    total = wq.arrow_count
-    print(f"seed = {res.seed}")
-    print(f"arcs = {total}, kept = {len(res.kept_arrows)}, feedback = {len(res.feedback)}")
+    arrows = wq.quiver.arrows
+    lines = [
+        f"seed = {res.seed}",
+        f"arcs = {len(arrows)}, kept = {len(res.kept_arrows)}, feedback = {len(res.feedback)}",
+    ]
     for a in sorted(res.feedback):
-        s, t = wq.quiver.arrows[a]
-        print(f"feedback: {ids[s]} -> {ids[t]} (arrow {a})")
+        s, t = arrows[a]
+        lines.append(f"feedback: {ids[s]} -> {ids[t]} (arrow {a})")
+    # one write: the report has a line per feedback arc
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .errors import InvariantError
@@ -75,12 +76,17 @@ def berger_shor(wq: WeightedQuiver, seed: int) -> FasResult:
     """
     q = wq.quiver
     kept_arrows, perm = berger_shor_arcs(q.vertex_count, q.arrows, seed)
-    kept = WeightedQuiver(
-        Quiver(q.vertex_count, [q.arrows[a] for a in kept_arrows]),
-        [wq.weights[a] for a in kept_arrows],
+    arrows, weights = q.arrows, wq.weights
+    # a subset of a checked quiver's arrows and weights is checked too
+    kept = WeightedQuiver._trusted(
+        Quiver._trusted(q.vertex_count, tuple([arrows[a] for a in kept_arrows])),
+        tuple([weights[a] for a in kept_arrows]),
     )
+    dropped = bytearray(b"\1") * q.arrow_count
+    for a in kept_arrows:
+        dropped[a] = 0
     return FasResult(
-        feedback=frozenset(range(q.arrow_count)).difference(kept_arrows),
+        feedback=frozenset(compress(range(q.arrow_count), dropped)),
         kept=kept,
         kept_arrows=tuple(kept_arrows),
         permutation=tuple(perm),

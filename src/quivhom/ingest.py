@@ -5,6 +5,13 @@ tab- or comma-separated (sniffed from the first data line), '#' comments
 ignored. Weights parse exactly: "1/3" stays 1/3 and "0.25" becomes 1/4.
 Vertex ids are arbitrary tokens mapped to dense indices in first-seen
 order; the mapping is emitted alongside every output.
+
+A weight token is accepted exactly when the running interpreter's
+``Fraction(token)`` accepts it, so the grammar follows the Python version
+(3.11 accepts "1_000", 3.12 also "1/ 2"). The loader parses each distinct
+token once and gives equal tokens one shared ``Fraction``. It builds its
+quiver without the public constructors' checks, which its own parsing
+already guarantees.
 """
 
 from __future__ import annotations
@@ -58,21 +65,17 @@ def load_weighted_edges(
     id_of: dict[str, int] = {}
     arrows: list[tuple[int, int]] = []
     weights: list[Fraction] = []
+    # weight token -> its (zero-replaced) value: weight columns repeat a few
+    # values, so each distinct token is parsed once and equal weights share
+    # one Fraction
+    parsed: dict[str, Fraction] = {}
+    one = Fraction(1)
     sep = None
     ncols = None
-
-    def intern(token: str) -> int:
-        idx = id_of.get(token)
-        if idx is None:
-            idx = len(ids)
-            id_of[token] = idx
-            ids.append(token)
-        return idx
-
     for no, line in _data_lines(source):
         if sep is None:
             sep = _sniff_separator(line)
-        fields = [f.strip() for f in line.split(sep)]
+        fields = line.split(sep)
         if ncols is None:
             if len(fields) not in (2, 3):
                 raise ParseError(f"expected 2 or 3 columns, got {len(fields)}", no)
@@ -81,17 +84,41 @@ def load_weighted_edges(
             raise ParseError(
                 f"inconsistent column count: expected {ncols}, got {len(fields)}", no
             )
-        s, t = intern(fields[0]), intern(fields[1])
-        w = parse_weight(fields[2], no) if ncols == 3 else Fraction(1)
-        if w == 0:
-            if zero_weight_epsilon is None:
-                raise WeightError(
-                    f"line {no}: zero weight (rerun with a zero-weight epsilon)"
-                )
-            w = zero_weight_epsilon
+        token = fields[0].strip()
+        s = id_of.get(token)
+        if s is None:
+            s = id_of[token] = len(ids)
+            ids.append(token)
+        token = fields[1].strip()
+        t = id_of.get(token)
+        if t is None:
+            t = id_of[token] = len(ids)
+            ids.append(token)
+        if ncols == 2:
+            w = one
+        else:
+            token = fields[2].strip()
+            w = parsed.get(token)
+            if w is None:
+                w = parse_weight(token, no)
+                if w == 0:
+                    if zero_weight_epsilon is None:
+                        raise WeightError(
+                            f"line {no}: zero weight (rerun with a zero-weight epsilon)"
+                        )
+                    w = zero_weight_epsilon
+                    if not isinstance(w, Fraction):
+                        w = Fraction(w)
+                    if w == 0:
+                        raise WeightError(f"arrow {len(arrows)} has zero weight")
+                parsed[token] = w
         arrows.append((s, t))
         weights.append(w)
-    return WeightedQuiver(Quiver(len(ids), arrows), weights), ids
+    # ids are dense by construction and every weight is a nonzero Fraction,
+    # so the public constructors' checks would find nothing
+    return WeightedQuiver._trusted(
+        Quiver._trusted(len(ids), tuple(arrows)), tuple(weights)
+    ), ids
 
 
 def load_attributes(

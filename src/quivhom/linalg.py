@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Sequence
 
 from .errors import FieldModeError
@@ -135,12 +135,13 @@ class DenseMatrix:
         """Rank of the matrix. Exact mode: the rank over the rationals, by
         sparse integer elimination over the nonzero entries. Float mode:
         pivots with |p| > tol under Gaussian elimination with partial
-        pivoting."""
+        pivoting; tol must be finite and nonnegative."""
         if self.rows == 0 or self.cols == 0:
             return 0
         if self.mode == FLOAT:
-            if not tol >= 0:  # also rejects NaN, which compares false
-                raise ValueError("tol must be nonnegative")
+            # an infinite tol accepts no pivot; NaN fails every comparison
+            if not 0 <= tol < inf:
+                raise ValueError("tol must be nonnegative and finite")
             return _rank_float(self, tol)
         return _rank_sparse(_integer_rows(self))
 

@@ -33,6 +33,18 @@ class Quiver:
             if not (0 <= s < vertex_count and 0 <= t < vertex_count):
                 raise ValueError(f"arrow {i}: endpoint ({s}, {t}) out of range")
 
+    @classmethod
+    def _trusted(cls, vertex_count: int, arrows: tuple[tuple[int, int], ...]) -> Quiver:
+        """A quiver built without the checks of ``__init__``.
+
+        Only for arrows that are, by construction, a tuple of int pairs
+        within 0..vertex_count-1; the tuple is stored as given.
+        """
+        q = object.__new__(cls)
+        object.__setattr__(q, "vertex_count", vertex_count)
+        object.__setattr__(q, "arrows", arrows)
+        return q
+
     @property
     def arrow_count(self) -> int:
         return len(self.arrows)
@@ -75,6 +87,18 @@ class WeightedQuiver:
         for i, w in enumerate(self.weights):
             if w == 0:
                 raise WeightError(f"arrow {i} has zero weight")
+
+    @classmethod
+    def _trusted(cls, quiver: Quiver, weights: tuple[Fraction, ...]) -> WeightedQuiver:
+        """A weighted quiver built without the checks of ``__init__``.
+
+        Only for weights that are, by construction, a tuple of nonzero
+        ``Fraction`` objects, one per arrow; the tuple is stored as given.
+        """
+        wq = object.__new__(cls)
+        object.__setattr__(wq, "quiver", quiver)
+        object.__setattr__(wq, "weights", weights)
+        return wq
 
     @property
     def vertex_count(self) -> int:

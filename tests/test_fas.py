@@ -82,6 +82,23 @@ def test_randomized_properties():
             assert again.kept_arrows == res.kept_arrows
 
 
+def test_kept_and_feedback_equal_their_public_rebuild():
+    rng = random.Random(23)
+    for _ in range(200):
+        wq = random_multigraph(rng)
+        arrows, weights = wq.quiver.arrows, wq.weights
+        for seed in (0, 5):
+            res = berger_shor(wq, seed)
+            kept = res.kept_arrows
+            assert res.kept == WeightedQuiver(
+                Quiver(wq.vertex_count, [arrows[a] for a in kept]),
+                [weights[a] for a in kept])
+            assert res.kept.quiver.out_arrows == Quiver(
+                wq.vertex_count, [arrows[a] for a in kept]).out_arrows
+            assert type(res.feedback) is frozenset
+            assert res.feedback == frozenset(range(wq.arrow_count)) - set(kept)
+
+
 def test_bound_with_self_loops_counts_non_loop_arcs():
     rng = random.Random(19)
     for _ in range(50):

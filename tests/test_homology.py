@@ -329,6 +329,20 @@ def test_float_mode_chain_complex_builds_and_agrees():
         assert dims_float == dims_exact
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("-inf"), float("nan")])
+def test_float_mode_rejects_non_finite_tolerance(tol):
+    # commuting triangle: dim H1 is 1; tol=inf used to give 3 (rank 0)
+    wq = WeightedQuiver(Quiver(3, [(0, 1), (1, 2), (0, 2)]), [2, 3, 6])
+    rep = scalar_representation(FLOAT)
+    assert dim_h1(wq, rep, tol=1e-9) == 1
+    with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+        dim_h1(wq, rep, tol=tol)
+    complex_ = build_chain_complex(wq, rep, n_max=2)
+    assert homology_dims(complex_, 1e-9) == [1, 1]
+    with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+        homology_dims(complex_, tol)
+
+
 PINNED_CHAIN_COMPLEX_SHA256 = (
     "62fb7bdc1321decd6edc6cbac05c6e106e519f88eecc7d8ac9268d62da1aba43")
 

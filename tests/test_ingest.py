@@ -9,6 +9,8 @@ import pytest
 
 from quivhom import (
     ParseError,
+    Quiver,
+    WeightedQuiver,
     WeightError,
     feature_matrix,
     jaccard_weights,
@@ -25,6 +27,7 @@ from quivhom.ingest import (
     load_undirected_pairs,
     to_dot,
 )
+from conftest import random_multigraph
 
 
 def edges(text: str, epsilon=None):
@@ -58,6 +61,14 @@ def test_zero_weight_with_epsilon_substitutes():
     assert wq.weights == (Fraction(1, 100),)
 
 
+def test_zero_weight_epsilon_must_be_a_nonzero_rational():
+    wq, _ = edges("a,b,2\nb,c,0\n", epsilon=1)
+    assert wq.weights == (Fraction(2), Fraction(1))
+    assert type(wq.weights[1]) is Fraction
+    with pytest.raises(WeightError, match="arrow 1 has zero weight"):
+        edges("a,b,2\nb,c,0\n", epsilon=0)
+
+
 def test_two_column_file_defaults_weight_one():
     wq, _ = edges("a,b\nb,c\n")
     assert wq.weights == (Fraction(1), Fraction(1))
@@ -77,6 +88,62 @@ def test_comments_blanks_and_crlf_tolerated():
 def test_bad_weight_token_names_line():
     with pytest.raises(ParseError, match="line 1"):
         edges("a,b,x\n")
+
+
+# Tokens on which the Fraction(str) grammar differs between Python
+# versions ('1/ 2', '1_000'), or that int() and float() read differently
+WEIGHT_TOKENS = ["1/ 2", "1_000", "\u0663", "1e3", "+3", "-0", "0x10", "1/0",
+                 "0.25", "007/014", "-3/6"]
+
+
+@pytest.mark.parametrize("epsilon", [None, Fraction(1, 100)])
+@pytest.mark.parametrize("token", WEIGHT_TOKENS)
+def test_weight_tokens_follow_this_interpreters_fraction(token, epsilon):
+    # lines 2 and 3 share the token, so line 3 reads the parsed-token memo
+    text = f"a,b,5\nb,c,{token}\nc,a,{token}\n"
+    try:
+        expected = Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(ParseError) as info:
+            edges(text, epsilon)
+        assert info.value.line == 2
+        assert str(info.value) == f"line 2: bad weight {token!r}: {exc}"
+        return
+    if expected == 0 and epsilon is None:
+        with pytest.raises(WeightError, match="^line 2: zero weight"):
+            edges(text, epsilon)
+        return
+    if expected == 0:
+        expected = epsilon
+    wq, _ = edges(text, epsilon)
+    assert wq.weights == (Fraction(5), expected, expected)
+    assert all(type(w) is Fraction for w in wq.weights)
+
+
+def test_loaded_quiver_equals_its_public_construction():
+    rng = random.Random(29)
+    for _ in range(200):
+        source = random_multigraph(rng)
+        arrows, weights = source.quiver.arrows, source.weights
+        # equal weights spelled two ways: the memo keys on the token
+        tokens = [str(w) if rng.random() < 0.5
+                  else f"{2 * w.numerator}/{2 * w.denominator}" for w in weights]
+        pad = [" " * rng.randint(0, 1) for _ in range(3)]
+        text = "".join(f"v{s}{pad[0]},{pad[1]}v{t},{pad[2]}{tok}\n"
+                       for (s, t), tok in zip(arrows, tokens))
+        wq, ids = edges(text)
+        index = {}
+        for s, t in arrows:
+            index.setdefault(s, len(index))
+            index.setdefault(t, len(index))
+        assert ids == [f"v{v}" for v in index]
+        public = WeightedQuiver(
+            Quiver(len(ids), [(index[s], index[t]) for s, t in arrows]), weights)
+        assert wq == public
+        assert wq.quiver.out_arrows == public.quiver.out_arrows
+        assert type(wq.quiver.arrows) is tuple and type(wq.weights) is tuple
+        assert all(type(w) is Fraction for w in wq.weights)
+        assert all(type(s) is int and type(t) is int for s, t in wq.quiver.arrows)
 
 
 def test_id_map_is_first_seen_order():

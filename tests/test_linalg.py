@@ -207,6 +207,15 @@ def test_float_rank_rejects_negative_and_nan_tolerance(tol):
         m.rank(tol)
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("-inf"), float("nan")])
+def test_float_rank_rejects_non_finite_tolerance(tol):
+    # an infinite tol used to accept no pivot and report rank 0
+    m = DenseMatrix.identity(2, mode=FLOAT)
+    assert m.rank(1e-9) == 2
+    with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+        m.rank(tol)
+
+
 def test_from_rows_rejects_ragged_input():
     with pytest.raises(ValueError):
         DenseMatrix.from_rows([[1, 2], [3]])

@@ -44,6 +44,17 @@ def test_weighted_quiver_rejects_wrong_weight_count():
         WeightedQuiver(PATH3, [1])
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: Quiver(2, [(0, 1), (-1, 0)]), ValueError),
+    (lambda: Quiver(-1), ValueError),
+    (lambda: WeightedQuiver(PATH3, [Fraction(1), 0]), WeightError),
+    (lambda: WeightedQuiver(PATH3, [1, 2, 3]), ValueError),
+])
+def test_public_constructors_keep_their_checks(build, error):
+    with pytest.raises(error):
+        build()
+
+
 def test_weighted_quiver_stores_fractions_and_keeps_given_ones():
     given = Fraction(7, 3)
     wq = WeightedQuiver(TRIANGLE, [2, "3/4", given])
