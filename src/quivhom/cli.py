@@ -260,7 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=None,
                    help="truncate chains by composite path length")
     p.add_argument("--chain-cap", type=int, default=200_000,
-                   help="refuse inputs with more enumerated chains than this")
+                   help="refuse inputs with more enumerated chains than this "
+                        "(default 200000; a DAG with 198,498 chains took about "
+                        "5 minutes and 245 MB on a 2-core Xeon, mostly in exact "
+                        "rank)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("jaccard",

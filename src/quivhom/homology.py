@@ -15,13 +15,17 @@ Two routes to the same numbers:
 
 Every matrix here (boundaries and chain maps) is assembled by one helper
 that expands each cell's faces into sparse scalar columns {row: coeff},
-whatever the coefficient dimension; boundary-of-boundary == 0 is checked
-on those columns before they are stored as DenseMatrix objects for rank.
+whatever the coefficient dimension. The chain complex keeps its
+boundaries as those columns: boundary-of-boundary == 0 is checked on
+them, and exact-mode homology_dims ranks them directly. A DenseMatrix is
+built only on request (``ChainComplexSlice.boundaries``, float-mode rank,
+the degree-1 boundary and chain maps).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -31,7 +35,7 @@ from .errors import (
     MorphismError,
     WeightError,
 )
-from .linalg import EXACT, FLOAT, DenseMatrix
+from .linalg import EXACT, FLOAT, DenseMatrix, _integer_dicts, _rank_sparse
 from .quiver import (
     NChain,
     Path,
@@ -105,13 +109,22 @@ def _scalar_columns(
     A face is (row block i, sign, block), ``block`` being an h x d
     DenseMatrix of coefficients or None for the d x d identity (h = d).
     Coordinate c of cell j is column j * d + c; coordinate r of row block
-    i is row i * h + r. Entries that cancel to zero are dropped.
+    i is row i * h + r. Identity coefficients are the ints +1 and -1 in
+    exact mode (1.0 and -1.0 in float mode), so later arithmetic can skip
+    them; _densify turns them back into Fractions. Entries that cancel to
+    zero are dropped.
     """
-    one = 1.0 if mode == FLOAT else Fraction(1)
+    one = 1.0 if mode == FLOAT else 1
     out: list[dict] = []
     for faces in cells:
         cols: list[dict] = [{} for _ in range(d)]
         for i, sign, block in faces:
+            if d == 1 and (block is None or block.rows == 1):
+                x = one if block is None else block.entries[0]
+                x = x if sign > 0 else -x
+                col = cols[0]
+                col[i] = col[i] + x if i in col else x
+                continue
             if block is None:
                 entries = [(i * d + c, c, one) for c in range(d)]
             else:
@@ -122,17 +135,19 @@ def _scalar_columns(
                 x = x if sign > 0 else -x
                 col = cols[c]
                 col[row] = col[row] + x if row in col else x
-        out.extend({r: x for r, x in col.items() if x != 0} for col in cols)
+        out.extend({r: x for r, x in col.items() if x} for col in cols)
     return out
 
 
 def _densify(cols: list[dict], rows: int, mode: str) -> DenseMatrix:
-    """The rows x len(cols) DenseMatrix holding the scalar columns."""
+    """The rows x len(cols) DenseMatrix holding the scalar columns, with
+    every exact entry a Fraction (the int unit coefficients included)."""
     ncols = len(cols)
-    ent = [0.0 if mode == FLOAT else Fraction(0)] * (rows * ncols)
+    exact = mode != FLOAT
+    ent = [Fraction(0) if exact else 0.0] * (rows * ncols)
     for c, col in enumerate(cols):
         for r, x in col.items():
-            ent[r * ncols + c] = x
+            ent[r * ncols + c] = Fraction(x) if exact and type(x) is int else x
     return DenseMatrix(rows, ncols, tuple(ent), mode)
 
 
@@ -269,12 +284,14 @@ class ChainComplexSlice:
     coefficients twisted by the weight action, optionally ell-truncated.
 
     ``bases[0]`` is the vertex list; ``bases[n]`` the NChain basis in
-    degree n. ``boundaries[n]`` maps degree n to degree n-1 (index 0 is
-    None). The d0 face of a chain is twisted by the action of the weight
+    degree n. The d0 face of a chain is twisted by the action of the weight
     of its first morphism; middle faces compose consecutive morphisms with
-    alternating signs; the last face drops the final morphism. Each
-    boundary is assembled from sparse scalar columns, one per chain x
-    coordinate, and stored as a DenseMatrix.
+    alternating signs; the last face drops the final morphism.
+    ``columns[n]`` holds boundary n (degree n to degree n-1; index 0 is
+    empty) as sparse scalar columns {row: coeff}, one per chain x
+    coordinate, which exact-mode homology_dims ranks directly.
+    ``boundaries[n]`` is the same map as a DenseMatrix (index 0 is None),
+    densified on first access and cached.
     """
 
     wq: WeightedQuiver
@@ -282,29 +299,37 @@ class ChainComplexSlice:
     n_max: int
     ell: int | None
     bases: tuple
-    boundaries: tuple
+    columns: tuple
+
+    @cached_property
+    def boundaries(self) -> tuple:
+        d, mode = self.rep.dim, self.rep.mode
+        return (None,) + tuple(
+            _densify(self.columns[n], len(self.bases[n - 1]) * d, mode)
+            for n in range(1, self.n_max + 1)
+        )
 
     def basis_sizes(self) -> list[int]:
         return [len(b) for b in self.bases]
 
 
 def _chain_faces(
-    wq: WeightedQuiver, chain: NChain
-) -> list[tuple[object, int, Fraction | None]]:
-    """Faces of a chain as (face key, sign, weight-or-None).
+    chain: NChain, action: Callable[[Path], DenseMatrix]
+) -> list[tuple[object, int, DenseMatrix | None]]:
+    """Faces of a chain as (face key, sign, block-or-None).
 
-    The face key is an NChain (or a vertex index in degree 1). A non-None
-    weight marks the d0 face, whose coefficient block is the action of
-    that weight; all other faces carry sign * identity.
+    The face key is an NChain (or a vertex index in degree 1). The d0 face
+    carries ``action(first morphism)``, the action of that path's weight;
+    all other faces carry sign * identity (None).
     """
     parts = chain.parts
     n = len(parts)
-    w0 = path_weight(wq, parts[0])
+    a0 = action(parts[0])
     if n == 1:
         # d0 = target twisted by the path weight, d1 = source
-        return [(parts[0].target, 1, w0), (parts[0].source, -1, None)]
-    faces: list[tuple[object, int, Fraction | None]] = [
-        (NChain(parts[1:]), 1, w0)
+        return [(parts[0].target, 1, a0), (parts[0].source, -1, None)]
+    faces: list[tuple[object, int, DenseMatrix | None]] = [
+        (NChain(parts[1:]), 1, a0)
     ]
     sign = -1
     for i in range(1, n):
@@ -321,9 +346,10 @@ def build_chain_complex(
     n_max: int = 3,
     ell: int | None = None,
 ) -> ChainComplexSlice:
-    """Enumerate chain bases up to degree n_max and build all boundary
-    matrices from sparse scalar columns; boundary-of-boundary == 0 is
-    verified on those columns, before they are densified."""
+    """Enumerate chain bases up to degree n_max and assemble every boundary
+    as sparse scalar columns; boundary-of-boundary == 0 is verified on
+    those columns. No dense matrix is built here: ``boundaries`` densifies
+    on first access."""
     rep = rep or scalar_representation()
     _require_acyclic(wq.quiver, "weighted quiver homology")
     if n_max < 1:
@@ -331,12 +357,18 @@ def build_chain_complex(
     actions = _check_invertible(rep, wq.weights)
     d = rep.dim
     q = wq.quiver
+    # one action per distinct path, keyed by its arrow tuple; the path
+    # weight is computed once per path
+    path_actions: dict[tuple[int, ...], DenseMatrix] = {}
 
-    def action_of(w: Fraction) -> DenseMatrix:
-        m = actions.get(w)
+    def path_action(p: Path) -> DenseMatrix:
+        m = path_actions.get(p.arrows)
         if m is None:
-            m = rep.action(w)
-            actions[w] = m
+            w = path_weight(wq, p)
+            m = actions.get(w)
+            if m is None:
+                m = actions[w] = rep.action(w)
+            path_actions[p.arrows] = m
         return m
 
     bases: list[tuple] = [tuple(range(q.vertex_count))]
@@ -348,21 +380,17 @@ def build_chain_complex(
 
     # per-degree scalar columns; truncation closure: faces never gain
     # composite length, so a missing face key would mean a broken basis
-    sparse: list[list[dict]] = [[]]
+    columns: list[list[dict]] = [[]]
     for n in range(1, n_max + 1):
         face_index = index[n - 1]
         cells = (
-            [(face_index[key], sign, None if w is None else action_of(w))
-             for key, sign, w in _chain_faces(wq, chain)]
+            [(face_index[key], sign, block)
+             for key, sign, block in _chain_faces(chain, path_action)]
             for chain in bases[n]
         )
-        sparse.append(_scalar_columns(cells, d, rep.mode))
+        columns.append(_scalar_columns(cells, d, rep.mode))
 
-    _verify_square_zero(sparse, d, rep.mode)
-
-    boundaries: list[DenseMatrix | None] = [None]
-    for n in range(1, n_max + 1):
-        boundaries.append(_densify(sparse[n], len(bases[n - 1]) * d, rep.mode))
+    _verify_square_zero(columns, d, rep.mode)
 
     return ChainComplexSlice(
         wq=wq,
@@ -370,14 +398,16 @@ def build_chain_complex(
         n_max=n_max,
         ell=ell,
         bases=tuple(bases),
-        boundaries=tuple(boundaries),
+        columns=tuple(columns),
     )
 
 
 def _verify_square_zero(sparse: list[list[dict]], d: int, mode: str) -> None:
     """Check boundary(n-1) @ boundary(n) == 0 on the scalar columns.
 
-    Exact mode demands literal zeros; float mode allows rounding noise
+    A factor that is the int +1 or -1 (an identity coefficient) is added
+    or subtracted; only the other products are multiplied. Exact mode
+    demands literal zeros; float mode allows rounding noise
     (float(a)*float(b) need not equal float(a*b)). The error names the
     degree and the chain whose column fails."""
     for n in range(2, len(sparse)):
@@ -385,8 +415,20 @@ def _verify_square_zero(sparse: list[list[dict]], d: int, mode: str) -> None:
         for j, col in enumerate(sparse[n]):
             acc: dict = {}
             for i, x in col.items():
-                for g, y in below[i].items():
-                    acc[g] = x * y if g not in acc else acc[g] + x * y
+                terms = below[i].items()
+                if type(x) is int and x == 1:
+                    for g, y in terms:
+                        acc[g] = acc[g] + y if g in acc else y
+                elif type(x) is int and x == -1:
+                    for g, y in terms:
+                        acc[g] = acc[g] - y if g in acc else -y
+                else:
+                    for g, y in terms:
+                        if type(y) is int and (y == 1 or y == -1):
+                            y = x if y == 1 else -x
+                        else:
+                            y = x * y
+                        acc[g] = acc[g] + y if g in acc else y
             if mode == FLOAT:
                 ok = all(abs(v) < 1e-9 for v in acc.values())
             else:
@@ -401,10 +443,15 @@ def homology_dims(c: ChainComplexSlice, tol: float = 1e-9) -> list[int]:
     """dim H_n for n = 0..n_max-1.
 
     H_n = (nullity of boundary n) - (rank of boundary n+1), with the
-    degree-0 boundary the zero map.
+    degree-0 boundary the zero map. Exact mode ranks each degree's sparse
+    columns directly, fed in as the rows of the transpose (rank A =
+    rank A^T), so no dense matrix is built; float mode ranks ``boundaries``.
     """
     d = c.rep.dim
-    ranks = [0] + [m.rank(tol) for m in c.boundaries[1:]]
+    if c.rep.mode == FLOAT:
+        ranks = [0] + [m.rank(tol) for m in c.boundaries[1:]]
+    else:
+        ranks = [0] + [_rank_sparse(_integer_dicts(cols)) for cols in c.columns[1:]]
     dims: list[int] = []
     for n in range(c.n_max):
         kernel = len(c.bases[n]) * d - ranks[n]

@@ -339,8 +339,16 @@ def to_dot(
     out.write("digraph quiver {\n")
     for name in quoted:
         out.write(f"  {name};\n")
+    # each distinct weight object is formatted once; wq.weights keeps the
+    # objects alive, so their ids are stable (the loader shares one object
+    # per distinct token, and id() avoids the Python-level Fraction hash)
+    labels: dict[int, str] = {}
     for a, (s, t) in enumerate(q.arrows):
+        w = wq.weights[a]
+        label = labels.get(id(w))
+        if label is None:
+            label = labels[id(w)] = format(w)
         style = ", style=dashed" if a in dashed else ""
-        out.write(f'  {quoted[s]} -> {quoted[t]} [label="{wq.weights[a]}"{style}];\n')
+        out.write(f'  {quoted[s]} -> {quoted[t]} [label="{label}"{style}];\n')
     out.write("}\n")
     return out.getvalue()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, inf, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import FieldModeError
 
@@ -198,16 +198,26 @@ def _rank_float(m: DenseMatrix, tol: float) -> int:
 def _integer_rows(m: DenseMatrix) -> list[dict[int, int]]:
     """The nonzero rows of an exact matrix as sparse {col: int} dicts.
 
-    Zero entries are skipped by a truth test and never converted. Each row
-    has its denominators cleared and is divided by the gcd of its entries
-    (row scaling preserves rank), which keeps the elimination's integers
-    small.
+    Zero entries are skipped by a truth test and never converted; the
+    rows then go through _integer_dicts.
+    """
+    cols = range(m.cols)
+    return _integer_dicts(
+        {j: row[j] for j in compress(cols, row)}
+        for row in map(m.row, range(m.rows))
+    )
+
+
+def _integer_dicts(vectors: Iterable[dict]) -> list[dict[int, int]]:
+    """Sparse rational vectors {index: value} (Fraction or int values, no
+    zeros) as new sparse {index: int} dicts, empty ones skipped.
+
+    Each vector has its denominators cleared and is divided by the gcd of
+    its entries (scaling preserves rank), which keeps the elimination's
+    integers small. The inputs are not modified.
     """
     out: list[dict[int, int]] = []
-    cols = range(m.cols)
-    for i in range(m.rows):
-        row = m.row(i)
-        nz = {j: row[j] for j in compress(cols, row)}
+    for nz in vectors:
         if not nz:
             continue
         mult = lcm(*(x.denominator for x in nz.values()))
@@ -220,7 +230,7 @@ def _integer_rows(m: DenseMatrix) -> list[dict[int, int]]:
 
 
 def _rank_sparse(sparse: list[dict[int, int]]) -> int:
-    """Exact rank of the rows from _integer_rows by sparse elimination with
+    """Exact rank of the rows from _integer_dicts by sparse elimination with
     Markowitz-style pivoting; rows are gcd-normalized after each update to
     keep entries small. The rows are modified in place."""
     col_rows: dict[int, set[int]] = {}

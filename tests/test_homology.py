@@ -25,6 +25,7 @@ from quivhom import (
     induced_subquiver,
     scalar_representation,
 )
+from quivhom import homology
 from quivhom.homology import Representation, path_weight
 from quivhom.linalg import FLOAT
 from quivhom.quiver import make_path
@@ -205,6 +206,58 @@ def test_saturated_truncation_equals_full_complex():
         assert saturated.bases == full.bases
         assert saturated.boundaries[1:] == full.boundaries[1:]
         assert homology_dims(saturated) == homology_dims(full)
+
+
+DIFFERENTIAL_REPS = [
+    scalar_representation(),
+    Representation(2, lambda w: DenseMatrix.from_rows([[w, 0], [0, w * w]])),
+    scalar_representation(FLOAT),
+]
+
+
+@pytest.mark.parametrize("rep", DIFFERENTIAL_REPS, ids=["scalar", "two-dimensional", "float"])
+def test_homology_dims_matches_dense_boundary_ranks(rep):
+    # exact mode ranks the sparse columns; the dense boundaries give the
+    # same dims, and ranking the columns leaves them intact
+    rng = random.Random(2024)
+    for _ in range(20):
+        wq = random_acyclic_weighted_quiver(rng)
+        for ell in (None, 1, 2):
+            c = build_chain_complex(wq, rep, n_max=3, ell=ell)
+            dims = homology_dims(c)
+            ranks = [0] + [m.rank() for m in c.boundaries[1:]]
+            sizes = c.basis_sizes()
+            assert dims == [sizes[n] * rep.dim - ranks[n] - ranks[n + 1]
+                            for n in range(3)]
+            fresh = build_chain_complex(wq, rep, n_max=3, ell=ell)
+            assert c.boundaries == fresh.boundaries
+
+
+@pytest.mark.parametrize("rep", DIFFERENTIAL_REPS[:2], ids=["scalar", "two-dimensional"])
+def test_exact_homology_dims_builds_no_dense_matrix(rep, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("densified")
+
+    monkeypatch.setattr(homology, "_densify", refuse)
+    c = build_chain_complex(triangle(2, 3, 6), rep, n_max=3)
+    assert homology_dims(c) == [rep.dim, rep.dim, 0]
+    assert "boundaries" not in vars(c)
+    with pytest.raises(AssertionError, match="densified"):
+        c.boundaries
+
+
+def test_exact_matrices_hold_only_fractions():
+    # identity coefficients are ints inside the columns, never in a matrix
+    wq = random_acyclic_weighted_quiver(random.Random(8), max_vertices=6)
+    doubled = Representation(2, lambda w: DenseMatrix.from_rows([[w, 0], [0, w]]))
+    src = build_chain_complex(wq, n_max=3)
+    dst = build_chain_complex(wq, doubled, n_max=3)
+    f = QuiverMorphism(tuple(range(wq.vertex_count)), tuple(range(wq.arrow_count)))
+    maps = induced_chain_map(f, DenseMatrix.from_rows([[1], [2]]), src, dst)
+    mats = [boundary1_matrix(wq), *src.boundaries[1:], *dst.boundaries[1:], *maps]
+    assert {type(x) for m in mats for x in m.entries} == {Fraction}
+    floats = build_chain_complex(wq, scalar_representation(FLOAT), n_max=3)
+    assert {type(x) for m in floats.boundaries[1:] for x in m.entries} <= {float}
 
 
 def test_truncated_bases_are_monotone_in_ell():

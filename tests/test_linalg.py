@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quivhom import DenseMatrix, FieldModeError
-from quivhom.linalg import EXACT, FLOAT, _integer_rows, _rank_sparse, _rref
+from quivhom.linalg import EXACT, FLOAT, _integer_dicts, _integer_rows, _rank_sparse, _rref
 
 
 def _random_matrix(rng, rows, cols, density=0.7, span=4):
@@ -192,6 +192,15 @@ def test_integer_rows_skip_zeros_and_normalize():
     ])
     assert _integer_rows(m) == [{0: 3, 2: -2}, {0: 1, 1: 6}]
     assert _integer_rows(DenseMatrix.zeros(0, 4)) == []
+
+
+def test_integer_dicts_take_int_units_and_skip_empty_vectors():
+    vectors = [{}, {0: 1, 2: -1}, {}, {1: Fraction(2, 3), 3: -2}]
+    out = _integer_dicts(vectors)
+    assert out == [{0: 1, 2: -1}, {1: 1, 3: -3}]
+    # new dicts: the elimination modifies its rows in place
+    assert _rank_sparse(out) == 2
+    assert vectors == [{}, {0: 1, 2: -1}, {}, {1: Fraction(2, 3), 3: -2}]
 
 
 def test_float_rank_respects_tolerance():
