@@ -36,6 +36,7 @@ from .homology import (
 )
 from .ingest import (
     _atomic_write,
+    _render_edges,
     jaccard_weights,
     load_attributes,
     load_undirected_pairs,
@@ -179,10 +180,7 @@ def cmd_jaccard(args) -> int:
     attrs = load_attributes(args.attributes)
     eps = _epsilon(args)
     weighted = jaccard_weights(wq.quiver, ids, attrs, eps)
-    lines = []
-    for a, (s, t) in enumerate(weighted.quiver.arrows):
-        lines.append(f"{ids[s]},{ids[t]},{weighted.weights[a]}")
-    _write_text(args.output, "\n".join(lines) + ("\n" if lines else ""))
+    _write_text(args.output, _render_edges(weighted, ids))
     return EXIT_OK
 
 
@@ -191,10 +189,7 @@ def cmd_orient(args) -> int:
         wq, ids = load_undirected_pairs(sys.stdin)
     else:
         wq, ids = load_undirected_pairs(args.pairs)
-    lines = []
-    for a, (s, t) in enumerate(wq.quiver.arrows):
-        lines.append(f"{ids[s]},{ids[t]},{wq.weights[a]}")
-    _write_text(args.output, "\n".join(lines) + ("\n" if lines else ""))
+    _write_text(args.output, _render_edges(wq, ids))
     return EXIT_OK
 
 
@@ -297,10 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     except ChainCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (CyclicQuiverError, WeightError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except QuivhomError as exc:
+    except (QuivhomError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -52,24 +52,6 @@ class FeatureMatrix:
         return len(self.rows)
 
 
-def _closes_cycle(n: int, arcs: list[tuple[int, int]]) -> bool:
-    """True iff the non-loop arcs close a cycle of the underlying graph."""
-    parent = list(range(n))
-    for s, t in arcs:
-        if s == t:
-            continue
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        if s == t:
-            return True
-        parent[s] = t
-    return False
-
-
 def feature_vector(
     wq: WeightedQuiver,
     v: int,
@@ -81,21 +63,23 @@ def feature_vector(
     Cell k is ``dim_h1(berger_shor(induced_subquiver(wq, hood).wq,
     derive_seed(seed, v, k)).kept)``, computed by the cores those
     functions wrap on plain arc lists, with the weights as gains. A hood
-    whose non-loop arcs form a forest gives 0 whatever the FAS keeps, so
-    it skips the FAS and the gains.
+    is weakly connected, so when it has fewer non-loop arcs than vertices
+    they form a tree, which gives 0 whatever the FAS keeps; such a hood
+    skips the FAS and the gains.
     """
     if hops < 1:
         raise ValueError("hops must be positive")
     q = wq.quiver
     arrows, weights = q.arrows, wq.weights
     out: list[int] = []
-    cyclic = False  # hoods are nested, so once a cycle closes it stays
     for k, hood in enumerate(k_hop_levels(q, v, hops), start=1):
         verts, ids = induced_arcs(q, hood)
         local = {u: i for i, u in enumerate(verts)}
         arcs = [(local[arrows[a][0]], local[arrows[a][1]]) for a in ids]
-        cyclic = cyclic or _closes_cycle(len(verts), arcs)
-        if not cyclic:
+        # every hood vertex but v keeps the arc from its BFS parent, so the
+        # hood is weakly connected, and a connected multigraph closes a
+        # cycle iff it has at least as many non-loop arcs as vertices
+        if sum(s != t for s, t in arcs) < len(verts):
             out.append(0)
             continue
         kept, _ = berger_shor_arcs(len(verts), arcs, derive_seed(seed, v, k))

@@ -74,22 +74,17 @@ def scalar_representation(mode: str = EXACT) -> Representation:
     return Representation(1, lambda w: DenseMatrix(1, 1, (Fraction(w),), EXACT), EXACT)
 
 
-def _invertible_action(rep: Representation, w: Fraction) -> DenseMatrix:
-    """The action of w, verified invertible (a 1 x 1 action needs only a
-    nonzero entry, so no rank is computed for it)."""
-    m = rep.action(w)
-    singular = m.at(0, 0) == 0 if rep.dim == 1 else m.rank() != rep.dim
-    if singular:
-        raise WeightError(f"action of weight {w} is not invertible")
-    return m
-
-
 def _check_invertible(rep: Representation, weights: Sequence[Fraction]) -> dict[Fraction, DenseMatrix]:
-    """Action matrices for each distinct weight, verified invertible."""
+    """Action matrices for each distinct weight, verified invertible (a
+    1 x 1 action needs only a nonzero entry, so no rank is computed for it)."""
     actions: dict[Fraction, DenseMatrix] = {}
     for w in weights:
         if w not in actions:
-            actions[w] = _invertible_action(rep, w)
+            m = rep.action(w)
+            singular = m.at(0, 0) == 0 if rep.dim == 1 else m.rank() != rep.dim
+            if singular:
+                raise WeightError(f"action of weight {w} is not invertible")
+            actions[w] = m
     return actions
 
 
@@ -176,7 +171,8 @@ def dim_h1(wq: WeightedQuiver, rep: Representation | None = None, tol: float = 1
     rep = rep or scalar_representation()
     if rep.dim == 1 and rep.mode == EXACT:
         _require_acyclic(wq.quiver, "weighted quiver homology")
-        gains = [_invertible_action(rep, w).at(0, 0) for w in wq.weights]
+        actions = _check_invertible(rep, wq.weights)
+        gains = [actions[w].at(0, 0) for w in wq.weights]
         q = wq.quiver
         return gain_graph_h1(q.vertex_count, q.arrows, gains)
     m = boundary1_matrix(wq, rep)
@@ -189,83 +185,66 @@ def gain_graph_h1(n: int, arcs: Sequence[tuple[int, int]], gains: Sequence[Fract
     The boundary column of arc s -> t with gain g is -e_s + g e_t, so its
     rank is n - b, where b counts the weakly connected components whose
     cycles all have gain product 1 (balanced; Zaslavsky, "Biased graphs
-    II", 1991), and dim H1 = M - N + b. An integer union-find finds the
-    arcs that close a cycle of the underlying graph; there are exactly
-    M - N + (component count) of them, and a component without one is a
-    tree, hence balanced. Only the arcs of components with a closing arc
-    are read in ``gains``, so a forest needs no gain arithmetic at all.
-    """
-    parent = list(range(n))
+    II", 1991), and dim H1 = M - N + b. One breadth-first spanning forest
+    walks every arc once; a component's arcs off its tree close its
+    cycles, and there are (its arcs) - (its vertices) + 1 of them, so
+    dim H1 is the number of closing arcs minus the unbalanced components.
+    A component without a closing arc is a tree, hence balanced, and its
+    gains are never read, so a forest needs no gain arithmetic at all.
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    closing: list[int] = []  # one endpoint of each cycle-closing arc
-    for s, t in arcs:
-        rs, rt = find(s), find(t)
-        if rs == rt:
-            closing.append(s)
-        else:
-            parent[rs] = rt
-    if not closing:
-        return 0
-    cyclic = {find(v) for v in closing}
-    hot = [i for i, (s, _) in enumerate(arcs) if find(s) in cyclic]
-    return len(closing) - _unbalanced_components(
-        n, [arcs[i] for i in hot], [gains[i] for i in hot]
-    )
-
-
-def _unbalanced_components(n: int, arcs: Sequence[tuple[int, int]], gains: Sequence[Fraction]) -> int:
-    """Weakly connected components with a cycle of gain product != 1.
-
-    A left-kernel vector y of the boundary satisfies y_s = g y_t on every
-    arc s -> t with gain g = p/q; on a component those equations have a
-    one-dimensional solution space when it is balanced and only y = 0
-    otherwise. A breadth-first spanning forest fixes each y_v once, as an
-    unreduced integer pair a_v / b_v, so bit lengths grow with a
-    component's diameter. Every other arc is checked by one
-    cross-multiplication, a_s q b_t == p a_t b_s.
+    Otherwise a left-kernel vector y of the boundary satisfies
+    y_s = g y_t on every arc s -> t with gain g = p/q. Replaying the tree
+    arcs in breadth-first order fixes each y_v once, as an unreduced
+    integer pair a_v / b_v, so bit lengths grow with the component's
+    diameter. The component is balanced iff every closing arc satisfies
+    a_s q b_t == p a_t b_s.
     """
     adj: list[list[int]] = [[] for _ in range(n)]
     for i, (s, t) in enumerate(arcs):
         adj[s].append(i)
         adj[t].append(i)
-    pq = [(g.numerator, g.denominator) for g in gains]
-    a, b = [0] * n, [0] * n  # y_v = a[v] / b[v]; b[v] == 0 until reached
-    comp = [0] * n
-    tree = [False] * len(arcs)
+    walked = [False] * len(arcs)
+    seen = [False] * n
+    a, b = [0] * n, [0] * n  # y_v = a[v] / b[v]; b[v] == 0 until fixed
+    h1 = 0
     for root in range(n):
-        if b[root]:
+        if seen[root]:
             continue
-        a[root] = b[root] = 1
-        comp[root] = root
+        seen[root] = True
         reached = [root]
+        tree: list[int] = []
+        closing: list[int] = []
         for u in reached:  # grows while iterated, in breadth-first order
             for i in adj[u]:
-                s, t = arcs[i]
-                if b[s] and b[t]:
+                if walked[i]:
                     continue
-                p, q = pq[i]
-                if b[s]:
-                    a[t], b[t] = a[s] * q, b[s] * p
-                    w = t
+                walked[i] = True
+                s, t = arcs[i]
+                w = t if s == u else s
+                if seen[w]:
+                    closing.append(i)
                 else:
-                    a[s], b[s] = p * a[t], q * b[t]
-                    w = s
-                tree[i] = True
-                comp[w] = root
-                reached.append(w)
-    unbalanced: set[int] = set()
-    for i, (s, t) in enumerate(arcs):
-        if not tree[i] and comp[s] not in unbalanced:
-            p, q = pq[i]
+                    seen[w] = True
+                    tree.append(i)
+                    reached.append(w)
+        if not closing:
+            continue
+        h1 += len(closing)
+        a[root] = b[root] = 1
+        for i in tree:
+            s, t = arcs[i]
+            p, q = gains[i].numerator, gains[i].denominator
+            if b[s]:
+                a[t], b[t] = a[s] * q, b[s] * p
+            else:
+                a[s], b[s] = p * a[t], q * b[t]
+        for i in closing:
+            s, t = arcs[i]
+            p, q = gains[i].numerator, gains[i].denominator
             if a[s] * q * b[t] != p * a[t] * b[s]:
-                unbalanced.add(comp[s])
-    return len(unbalanced)
+                h1 -= 1
+                break
+    return h1
 
 
 def h1_kernel_basis(

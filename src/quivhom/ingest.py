@@ -252,6 +252,19 @@ def _atomic_write(path: str | os.PathLike, text: str) -> None:
         raise
 
 
+def _render_edges(wq: WeightedQuiver, ids: Sequence[str]) -> str:
+    """The weighted edge list as text that ``load_weighted_edges`` reads
+    back: one `source,target,weight` line per arrow in arrow order, joined
+    by tabs instead when some id contains a comma. Ids the loader accepted
+    hold no separator of their input, and the first line of a
+    comma-separated input holds no tab, so the sniffer reads it back."""
+    sep = "\t" if any("," in name for name in ids) else ","
+    return "".join(
+        f"{ids[s]}{sep}{ids[t]}{sep}{w}\n"
+        for (s, t), w in zip(wq.quiver.arrows, wq.weights)
+    )
+
+
 def feature_matrix_csv(fm: FeatureMatrix, ids: Sequence[str]) -> str:
     """The feature matrix as CSV: a `vertex,h1,...,hH` header, then one row
     per vertex. Ids containing `,` or `"` are quoted as the csv module does."""

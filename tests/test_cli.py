@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
+from quivhom import load_weighted_edges
 from quivhom.cli import main
 
 TRIANGLE_COMMUTING = "x0,x1,2\nx1,x2,3\nx0,x2,6\n"
@@ -212,6 +214,25 @@ def test_orient_subcommand(edges_file, capsys):
     src = edges_file("7,3\n1,2\n", name="pairs.csv")
     assert main(["orient", src]) == 0
     assert capsys.readouterr().out == "3,7,4\n1,2,1\n"
+
+
+@pytest.mark.parametrize("edges, attrs, arrows, weights", [
+    # tab-separated input whose ids contain commas
+    ("a,b\tc\t5\nc\td,e\t7\n", "a,b\t1\t0\nc\t0\t1\nd,e\t1\t1\n",
+     [("a,b", "c"), ("c", "d,e")], [Fraction(1), Fraction(1, 2)]),
+    # comma-separated input with an interior tab in an id of a later line
+    ("u,v\nx\ty,v\n", "u,1,0\nv,0,1\nx\ty,1,1\n",
+     [("u", "v"), ("x\ty", "v")], [Fraction(1), Fraction(1, 2)]),
+])
+def test_jaccard_output_reads_back_with_every_id(
+        edges_file, tmp_path, edges, attrs, arrows, weights):
+    attr_path = tmp_path / "attrs.txt"
+    attr_path.write_text(attrs)
+    out = tmp_path / "weighted.txt"
+    assert main(["jaccard", edges_file(edges), str(attr_path), "-o", str(out)]) == 0
+    wq, ids = load_weighted_edges(str(out))
+    assert [(ids[s], ids[t]) for s, t in wq.quiver.arrows] == arrows
+    assert list(wq.weights) == weights
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

@@ -15,9 +15,11 @@ from quivhom import (
     feature_matrix,
     feature_vector,
     induced_subquiver,
+    k_hop_levels,
     k_hop_vertices,
 )
 from quivhom.fas import berger_shor_arcs
+from quivhom.quiver import induced_arcs
 from conftest import (
     EXTREME_WEIGHTS,
     random_acyclic_weighted_quiver,
@@ -198,6 +200,58 @@ def test_fas_runs_from_the_first_hop_that_closes_a_cycle(fas_calls):
     wq = WeightedQuiver(Quiver(3, [(0, 1), (1, 2), (2, 0)]), [2, 3, 5])
     assert feature_vector(wq, 0, 4, seed=1) == (0, 0, 0, 0)
     assert fas_calls == [3, 3, 3]
+
+
+def closes_cycle_reference(n: int, arcs: list[tuple[int, int]]) -> bool:
+    """True iff the non-loop arcs close a cycle of the underlying graph,
+    by the union-find that feature cells used before the count rule."""
+    parent = list(range(n))
+    for s, t in arcs:
+        if s == t:
+            continue
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        if s == t:
+            return True
+        parent[s] = t
+    return False
+
+
+def test_hood_levels_are_weakly_connected():
+    rng = random.Random(0xC0AA)
+    for _ in range(300):
+        wq = random_multigraph(rng)
+        for v in range(wq.vertex_count):
+            for hood in k_hop_levels(wq.quiver, v, 4):
+                assert weak_component_count(induced_subquiver(wq, hood).wq.quiver) == 1
+
+
+def test_count_rule_matches_the_union_find_reference(fas_calls):
+    rng = random.Random(0xC0C0)
+    outcomes = set()
+    for _ in range(300):
+        wq = random_multigraph(rng)
+        q = wq.quiver
+        for v in range(wq.vertex_count):
+            expected = []
+            for hood in k_hop_levels(q, v, 4):
+                verts, ids = induced_arcs(q, hood)
+                local = {u: i for i, u in enumerate(verts)}
+                arcs = [(local[q.arrows[a][0]], local[q.arrows[a][1]]) for a in ids]
+                cyclic = closes_cycle_reference(len(verts), arcs)
+                assert cyclic == (sum(s != t for s, t in arcs) >= len(verts))
+                outcomes.add((cyclic, any(s == t for s, t in arcs)))
+                if cyclic:
+                    expected.append(len(verts))
+            # the cell runs the FAS exactly on the hoods that close a cycle
+            fas_calls.clear()
+            feature_vector(wq, v, 4, seed=v)
+            assert fas_calls == expected
+    assert len(outcomes) == 4, outcomes
 
 
 def test_threads_must_be_positive():

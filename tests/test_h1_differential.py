@@ -1,9 +1,9 @@
 """Differential tests: dim H1 three ways.
 
-``dim_h1`` takes the gain-graph union-find for 1-dimensional exact
+``dim_h1`` takes the gain-graph spanning forest for 1-dimensional exact
 representations and the boundary-matrix rank otherwise. Both are checked
 against the nullity of ``boundary1_matrix`` and against H1 of the
-brute-force chain complex, which shares no code with the union-find.
+brute-force chain complex, which shares no code with the spanning forest.
 """
 
 from __future__ import annotations
