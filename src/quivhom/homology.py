@@ -40,8 +40,9 @@ from .quiver import (
     NChain,
     Path,
     WeightedQuiver,
+    _chain_ids,
+    _path_list,
     _require_acyclic,
-    enumerate_nchains,
 )
 
 @dataclass(frozen=True)
@@ -292,33 +293,6 @@ class ChainComplexSlice:
         return [len(b) for b in self.bases]
 
 
-def _chain_faces(
-    chain: NChain, action: Callable[[Path], DenseMatrix]
-) -> list[tuple[object, int, DenseMatrix | None]]:
-    """Faces of a chain as (face key, sign, block-or-None).
-
-    The face key is an NChain (or a vertex index in degree 1). The d0 face
-    carries ``action(first morphism)``, the action of that path's weight;
-    all other faces carry sign * identity (None).
-    """
-    parts = chain.parts
-    n = len(parts)
-    a0 = action(parts[0])
-    if n == 1:
-        # d0 = target twisted by the path weight, d1 = source
-        return [(parts[0].target, 1, a0), (parts[0].source, -1, None)]
-    faces: list[tuple[object, int, DenseMatrix | None]] = [
-        (NChain(parts[1:]), 1, a0)
-    ]
-    sign = -1
-    for i in range(1, n):
-        merged = parts[i - 1].compose(parts[i])
-        faces.append((NChain(parts[:i - 1] + (merged,) + parts[i + 1:]), sign, None))
-        sign = -sign
-    faces.append((NChain(parts[:-1]), sign, None))
-    return faces
-
-
 def build_chain_complex(
     wq: WeightedQuiver,
     rep: Representation | None = None,
@@ -328,49 +302,57 @@ def build_chain_complex(
     """Enumerate chain bases up to degree n_max and assemble every boundary
     as sparse scalar columns; boundary-of-boundary == 0 is verified on
     those columns. No dense matrix is built here: ``boundaries`` densifies
-    on first access."""
+    on first access. Chains are tuples of path positions, so faces are
+    slices; NChains are built only for ``bases``."""
     rep = rep or scalar_representation()
     _require_acyclic(wq.quiver, "weighted quiver homology")
     if n_max < 1:
         raise ValueError("n_max must be positive")
     actions = _check_invertible(rep, wq.weights)
-    d = rep.dim
     q = wq.quiver
-    # one action per distinct path, keyed by its arrow tuple; the path
-    # weight is computed once per path
-    path_actions: dict[tuple[int, ...], DenseMatrix] = {}
+    paths = _path_list(q, ell)
+    ids = [list(range(q.vertex_count))]
+    ids += [list(_chain_ids(paths, n, ell)) for n in range(1, n_max + 1)]
+    position = {p.arrows: i for i, p in enumerate(paths)}
+    composite: dict[tuple[int, int], int] = {}
+    acts = []  # the action of each path's weight
+    for p in paths:
+        w = path_weight(wq, p)
+        if w not in actions:
+            actions[w] = rep.action(w)
+        acts.append(actions[w])
 
-    def path_action(p: Path) -> DenseMatrix:
-        m = path_actions.get(p.arrows)
-        if m is None:
-            w = path_weight(wq, p)
-            m = actions.get(w)
-            if m is None:
-                m = actions[w] = rep.action(w)
-            path_actions[p.arrows] = m
-        return m
+    def faces(c: tuple[int, ...], row: dict) -> list:
+        # d0 is twisted by the action of the first part
+        out = [(row[c[1:]], 1, acts[c[0]])]
+        sign = -1
+        for m in range(1, len(c)):
+            k = composite.get(c[m - 1:m + 1])
+            if k is None:
+                k = composite[c[m - 1:m + 1]] = position[
+                    paths[c[m - 1]].arrows + paths[c[m]].arrows]
+            out.append((row[c[:m - 1] + (k,) + c[m + 1:]], sign, None))
+            sign = -sign
+        out.append((row[c[:-1]], sign, None))
+        return out
 
-    bases: list[tuple] = [tuple(range(q.vertex_count))]
-    index: list[dict] = [{v: v for v in range(q.vertex_count)}]
-    for n in range(1, n_max + 1):
-        chains = tuple(enumerate_nchains(q, n, ell))
-        bases.append(chains)
-        index.append({c: i for i, c in enumerate(chains)})
-
-    # per-degree scalar columns; truncation closure: faces never gain
-    # composite length, so a missing face key would mean a broken basis
+    # truncation closure: faces never gain composite length, so a missing
+    # face would mean a broken basis
     columns: list[list[dict]] = [[]]
     for n in range(1, n_max + 1):
-        face_index = index[n - 1]
-        cells = (
-            [(face_index[key], sign, block)
-             for key, sign, block in _chain_faces(chain, path_action)]
-            for chain in bases[n]
-        )
-        columns.append(_scalar_columns(cells, d, rep.mode))
+        if n == 1:
+            cells = ([(paths[i].target, 1, acts[i]), (paths[i].source, -1, None)]
+                     for (i,) in ids[1])
+        else:
+            row = {c: r for r, c in enumerate(ids[n - 1])}
+            cells = (faces(c, row) for c in ids[n])
+        columns.append(_scalar_columns(cells, rep.dim, rep.mode))
 
-    _verify_square_zero(columns, d, rep.mode)
+    _verify_square_zero(columns, rep.dim, rep.mode)
 
+    bases = [tuple(ids[0])] + [
+        tuple(NChain(tuple(paths[i] for i in c)) for c in ids[n])
+        for n in range(1, n_max + 1)]
     return ChainComplexSlice(
         wq=wq,
         rep=rep,
@@ -494,19 +476,18 @@ def induced_chain_map(
         if left != right:
             raise MorphismError(f"phi does not intertwine the action of {w}")
 
-    def map_path(p: Path) -> Path:
-        arrows = tuple(f.arrow_map[a] for a in p.arrows)
-        return Path(arrows, f.vertex_map[p.source], f.vertex_map[p.target])
-
     out: list[DenseMatrix] = []
     for n in range(src.n_max + 1):
-        dst_index = {c: i for i, c in enumerate(dst.bases[n])}
+        # a chain is keyed by its parts' arrow tuples (degree 0: the vertex)
+        dst_index = {c if n == 0 else tuple(p.arrows for p in c.parts): i
+                     for i, c in enumerate(dst.bases[n])}
         cells = []
         for ci, chain in enumerate(src.bases[n]):
             if n == 0:
                 image = f.vertex_map[chain]
             else:
-                image = NChain(tuple(map_path(p) for p in chain.parts))
+                image = tuple(tuple(f.arrow_map[a] for a in p.arrows)
+                              for p in chain.parts)
             fi = dst_index.get(image)
             if fi is None:
                 raise MorphismError(f"image of degree-{n} basis chain {ci} "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, inf, lcm
 from typing import Iterable, Sequence
@@ -232,22 +233,20 @@ def _integer_dicts(vectors: Iterable[dict]) -> list[dict[int, int]]:
 def _rank_sparse(sparse: list[dict[int, int]]) -> int:
     """Exact rank of the rows from _integer_dicts by sparse elimination with
     Markowitz-style pivoting; rows are gcd-normalized after each update to
-    keep entries small. The rows are modified in place."""
+    keep entries small. The rows are modified in place. A step changes the
+    row counts of the pivot row's columns only, so they are pushed again
+    on a heap of (row count, column) that skips stale entries."""
     col_rows: dict[int, set[int]] = {}
     for i, d in enumerate(sparse):
         for j in d:
             col_rows.setdefault(j, set()).add(i)
+    heap = [(len(rs), j) for j, rs in col_rows.items()]
+    heapify(heap)
     rank = 0
-    while True:
-        best: tuple[int, int] | None = None
-        for j, rs in col_rows.items():
-            if rs:
-                key = (len(rs), j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        c = best[1]
+    while heap:
+        k, c = heappop(heap)
+        if k != len(col_rows[c]):
+            continue
         piv = min(col_rows[c], key=lambda i: (len(sparse[i]), i))
         prow = sparse[piv]
         p = prow[c]
@@ -277,6 +276,9 @@ def _rank_sparse(sparse: list[dict[int, int]]) -> int:
                 if g > 1:
                     for j in row:
                         row[j] //= g
+        for j in prow:
+            if col_rows[j]:
+                heappush(heap, (len(col_rows[j]), j))
     return rank
 
 

@@ -311,6 +311,27 @@ def enumerate_paths(q: Quiver, max_length: int | None = None) -> list[Path]:
     return list(iter_paths(q, max_length))
 
 
+def _path_list(q: Quiver, ell: int | None) -> list[Path]:
+    """The paths of the acyclic q no longer than ell (else than N)."""
+    bound = q.vertex_count if ell is None else ell
+    return list(iter_paths(q, bound)) if bound > 0 else []
+
+
+def _chain_ids(paths: list[Path], n: int, ell: int | None) -> Iterator[tuple[int, ...]]:
+    """Each n-chain of composite length at most ell as the positions of
+    its parts in ``paths`` (from _path_list), in lexicographic order."""
+    succ: dict[int, list[int]] = {}
+    for i, p in enumerate(paths):
+        succ.setdefault(p.source, []).append(i)
+    size = [len(p.arrows) for p in paths]
+    level = [((i,), k) for i, k in enumerate(size)]
+    for _ in range(n - 1):
+        level = [(c + (j,), k + size[j]) for c, k in level
+                 for j in succ.get(paths[c[-1]].target, ()) if ell is None or k + size[j] <= ell]
+    for c, _ in level:
+        yield c
+
+
 def iter_nchains(q: Quiver, n: int, ell: int | None = None) -> Iterator[NChain]:
     """Yield all composable n-tuples of paths, i.e. nondegenerate n-chains
     of the free category; with finite ``ell``, only chains whose composite
@@ -318,39 +339,9 @@ def iter_nchains(q: Quiver, n: int, ell: int | None = None) -> Iterator[NChain]:
     if n < 1:
         raise ValueError("n must be positive")
     _require_acyclic(q, "chain enumeration")
-    # every other part of an n-chain contributes at least one arrow
-    cap = None if ell is None else ell - (n - 1)
-    if cap is not None and cap < 1:
-        return
-    if n == 1:
-        # stream: degree-1 enumeration must not materialize the path list,
-        # so count-with-cap callers stay memory-flat on huge inputs
-        for p in iter_paths(q, cap):
-            yield NChain((p,))
-        return
-    all_paths = list(iter_paths(q, cap))
-    by_source: dict[int, list[Path]] = {}
-    for p in all_paths:
-        by_source.setdefault(p.source, []).append(p)
-
-    parts: list[Path] = []
-
-    def extend(end: int, used: int, remaining: int) -> Iterator[NChain]:
-        if remaining == 0:
-            yield NChain(tuple(parts))
-            return
-        budget = None if ell is None else ell - used - (remaining - 1)
-        for p in by_source.get(end, ()):
-            if budget is not None and p.length > budget:
-                continue
-            parts.append(p)
-            yield from extend(p.target, used + p.length, remaining - 1)
-            parts.pop()
-
-    for p in all_paths:
-        parts.append(p)
-        yield from extend(p.target, p.length, n - 1)
-        parts.pop()
+    paths = _path_list(q, ell)
+    for c in _chain_ids(paths, n, ell):
+        yield NChain(tuple(paths[i] for i in c))
 
 
 def enumerate_nchains(q: Quiver, n: int, ell: int | None = None) -> list[NChain]:
@@ -358,16 +349,42 @@ def enumerate_nchains(q: Quiver, n: int, ell: int | None = None) -> list[NChain]
     return list(iter_nchains(q, n, ell))
 
 
+def _chain_counts(q: Quiver, n: int, ell: int | None = None) -> list[int]:
+    """Nondegenerate k-chain counts for k = 1..n, over a topological order.
+
+    A k-chain from v starts with an arrow v -> u, then is a (k-1)-chain
+    from u or goes on as a k-chain from u: c_k(v) = sum over v -> u of
+    c_{k-1}(u) + c_k(u), c_0 = 1. ``ell`` adds an axis of length budget.
+    """
+    order = topological_order(q)
+    if order is None:
+        _require_acyclic(q, "chain enumeration")
+    # chains are shorter than N, so a larger ell truncates nothing
+    lag = 0 if ell is None or ell >= q.vertex_count else 1
+    top = max(ell, 0) if lag else 0
+    base = [1] + [0] * n
+    table: list = [None] * q.vertex_count
+    for v in reversed(order):
+        rows = [base] * lag
+        for b in range(lag, top + 1):
+            row = base[:]
+            for a in q.out_arrows[v]:
+                r = table[q.arrows[a][1]][b - lag]
+                for k in range(1, n + 1):
+                    row[k] += r[k - 1] + r[k]
+            rows.append(row)
+        table[v] = rows
+    return [sum(t[-1][k] for t in table) for k in range(1, n + 1)]
+
+
 def count_nchains(
     q: Quiver, n: int, ell: int | None = None, cap: int | None = None
 ) -> int:
-    """Number of nondegenerate n-chains; stops early at cap + 1."""
-    count = 0
-    for _ in iter_nchains(q, n, ell):
-        count += 1
-        if cap is not None and count > cap:
-            return count
-    return count
+    """Number of nondegenerate n-chains; a count above cap is cap + 1."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    count = _chain_counts(q, n, ell)[-1]
+    return count if cap is None else min(count, cap + 1)
 
 
 def k_hop_levels(q: Quiver, v: int, k: int) -> list[set[int]]:

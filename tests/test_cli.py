@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quivhom import load_weighted_edges
+from quivhom import homology, load_weighted_edges, quiver
 from quivhom.cli import main
 
 TRIANGLE_COMMUTING = "x0,x1,2\nx1,x2,3\nx0,x2,6\n"
@@ -192,6 +192,68 @@ def test_oracle_n_max_below_2_exits_2(edges_file, capsys, ell):
 def test_oracle_chain_cap_exits_3(edges_file, capsys):
     assert main(["oracle", edges_file(TRIANGLE_COMMUTING), "--chain-cap", "2"]) == 3
     assert "cap" in capsys.readouterr().err
+
+
+def test_oracle_chain_cap_reports_the_exact_count(edges_file, capsys):
+    # 4 paths in degree 1 and one 2-chain: the message names all 5
+    assert main(["oracle", edges_file(TRIANGLE_COMMUTING), "--chain-cap", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: nondegenerate chain count 5 exceeds cap 2\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--chain-cap", "chain-cap must be nonnegative"),
+    ("--ell", "ell must be nonnegative"),
+])
+def test_oracle_negative_cap_or_ell_exits_2(edges_file, capsys, flag, message):
+    assert main(["oracle", edges_file(TRIANGLE_COMMUTING), flag, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_oracle_zero_cap_and_ell_stay_legal(edges_file, capsys):
+    path = edges_file(TRIANGLE_COMMUTING)
+    assert main(["oracle", path, "--chain-cap", "0", "--ell", "0"]) == 0
+    assert capsys.readouterr().out == (
+        "degree  chains  dim H\n"
+        "     0       3      3\n"
+        "     1       0      0\n"
+        "     2       0      0\n"
+        "fast-path dim H1 (untruncated) = 1; truncated H1 = 0\n")
+    assert main(["oracle", path, "--chain-cap", "0"]) == 3
+    assert capsys.readouterr().err == "error: nondegenerate chain count 5 exceeds cap 0\n"
+
+
+def test_oracle_verdict_names_a_wrong_degree(edges_file, capsys, monkeypatch):
+    # one rank too low in the top boundary leaves H2 = 1 while H1 still
+    # matches; the verdict must say so
+    path = edges_file("a,b,2\nb,c,3\nc,d,5\n")
+    assert main(["oracle", path]) == 0
+    assert capsys.readouterr().out.endswith("matches fast path: yes\n")
+    ranks = []
+    real = homology._rank_sparse
+
+    def short(rows):
+        ranks.append(real(rows))
+        return ranks[-1] - (len(ranks) == 3)
+
+    monkeypatch.setattr(homology, "_rank_sparse", short)
+    assert main(["oracle", path]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[3].split() == ["2", "4", "1"]
+    assert out.endswith("fast-path dim H1 = 0; matches fast path: NO (degree 2)\n")
+
+
+def test_oracle_checks_acyclicity_four_times(edges_file, capsys, monkeypatch):
+    calls = []
+    for name in ("arcs_acyclic", "topological_order"):
+        real = getattr(quiver, name)
+        monkeypatch.setattr(quiver, name, lambda *a, real=real: calls.append(1) or real(*a))
+    assert main(["oracle", edges_file(TRIANGLE_COMMUTING)]) == 0
+    assert "matches fast path: yes" in capsys.readouterr().out
+    assert len(calls) == 4
 
 
 def test_oracle_guard_handles_deep_graphs(edges_file, capsys):

@@ -12,6 +12,7 @@ from quivhom import (
     FieldModeError,
     InvariantError,
     MorphismError,
+    NChain,
     Quiver,
     QuiverMorphism,
     WeightedQuiver,
@@ -244,6 +245,25 @@ def test_exact_homology_dims_builds_no_dense_matrix(rep, monkeypatch):
     assert "boundaries" not in vars(c)
     with pytest.raises(AssertionError, match="densified"):
         c.boundaries
+
+
+def test_chain_complex_and_chain_maps_never_hash_a_chain(monkeypatch):
+    # faces are found by integer chain ids, not by NChain dict keys
+    def refuse(self):
+        raise AssertionError("hashed an NChain")
+
+    rng = random.Random(9)
+    wq = random_acyclic_weighted_quiver(rng, max_vertices=7)
+    expected = [build_chain_complex(wq, n_max=3, ell=ell).boundaries for ell in (None, 2)]
+    monkeypatch.setattr(NChain, "__hash__", refuse)
+    with pytest.raises(AssertionError, match="hashed"):
+        {NChain(())}
+    for ell, want in zip((None, 2), expected):
+        c = build_chain_complex(wq, n_max=3, ell=ell)
+        assert c.boundaries == want
+        f = QuiverMorphism(tuple(range(wq.vertex_count)), tuple(range(wq.arrow_count)))
+        maps = induced_chain_map(f, DenseMatrix.identity(1), c, c)
+        assert maps == [DenseMatrix.identity(s) for s in c.basis_sizes()]
 
 
 def test_exact_matrices_hold_only_fractions():

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from copy import deepcopy
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from quivhom import DenseMatrix, FieldModeError
+from quivhom import DenseMatrix, FieldModeError, build_chain_complex
 from quivhom.linalg import EXACT, FLOAT, _integer_dicts, _integer_rows, _rank_sparse, _rref
+from conftest import random_acyclic_weighted_quiver
 
 
 def _random_matrix(rng, rows, cols, density=0.7, span=4):
@@ -182,6 +185,65 @@ def test_sparse_rank_matches_rref_pivot_count(rng):
             expected = len(_rref(x)[1])
             assert _rank_sparse(_integer_rows(x)) == expected
             assert x.rank() == expected
+
+
+def rank_sparse_scan_reference(sparse: list[dict[int, int]]) -> int:
+    """The elimination of _rank_sparse with its former pivot choice: a scan
+    of every column for the fewest rows, then the least index."""
+    col_rows: dict[int, set[int]] = {}
+    for i, d in enumerate(sparse):
+        for j in d:
+            col_rows.setdefault(j, set()).add(i)
+    rank = 0
+    while True:
+        best = min(((len(rs), j) for j, rs in col_rows.items() if rs), default=None)
+        if best is None:
+            return rank
+        c = best[1]
+        piv = min(col_rows[c], key=lambda i: (len(sparse[i]), i))
+        prow = sparse[piv]
+        p = prow[c]
+        rank += 1
+        for j in prow:
+            col_rows[j].discard(piv)
+        for i in list(col_rows[c]):
+            row = sparse[i]
+            f = row[c]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, pv in prow.items():
+                nv = row.get(j, 0) - b * pv
+                if nv:
+                    if j not in row:
+                        col_rows.setdefault(j, set()).add(i)
+                    row[j] = nv
+                elif j in row:
+                    del row[j]
+                    col_rows[j].discard(i)
+            if row:
+                g = gcd(*row.values())
+                if g > 1:
+                    for j in row:
+                        row[j] //= g
+
+
+def test_heap_pivots_match_the_column_scan(rng):
+    # equal ranks and equal rows left in place mean the same pivot
+    # sequence; chain-complex boundaries bring many tied column counts
+    inputs = [_integer_rows(_dependent_matrix(rng, rng.randint(1, 30), rng.randint(1, 30),
+                                              rng.choice([0.1, 0.3, 0.6]), 0.0))
+              for _ in range(150)]
+    for _ in range(40):
+        wq = random_acyclic_weighted_quiver(rng, max_vertices=9, max_arrows=16)
+        inputs += [_integer_dicts(cols)
+                   for cols in build_chain_complex(wq, n_max=3).columns[1:]]
+    for rows in inputs:
+        heap_rows, scan_rows = deepcopy(rows), deepcopy(rows)
+        assert _rank_sparse(heap_rows) == rank_sparse_scan_reference(scan_rows)
+        assert heap_rows == scan_rows
 
 
 def test_integer_rows_skip_zeros_and_normalize():

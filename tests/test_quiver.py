@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -192,6 +193,39 @@ def test_count_nchains_matches_enumeration_and_caps():
     assert count_nchains(TRIANGLE, 2) == 1
     assert count_nchains(SQUARE, 1) == 6
     assert count_nchains(SQUARE, 1, cap=3) == 4  # stops at cap + 1
+
+
+def test_closed_form_count_matches_enumeration_on_multigraph_dags():
+    # the closed form against the enumeration it replaced in the guard, on
+    # DAGs with parallel arcs and isolated vertices, every ell axis size
+    rng = random.Random(0xC0DE)
+    dags = parallel = 0
+    while dags < 300:
+        q = random_multigraph(rng, max_vertices=9).quiver
+        if not is_acyclic(q):
+            with pytest.raises(CyclicQuiverError):
+                count_nchains(q, 1)
+            continue
+        dags += 1
+        parallel += len(set(q.arrows)) < q.arrow_count
+        for ell in (None, 0, 1, 2, 3, 5):
+            for n in range(1, 5):
+                assert count_nchains(q, n, ell) == len(enumerate_nchains(q, n, ell)), \
+                    (q, n, ell)
+    assert parallel >= 30
+
+
+def test_count_nchains_caps_and_counts_exactly():
+    # a chain on a line graph picks n + 1 of its vertices in order
+    n = 1500
+    line = Quiver(n, [(i, i + 1) for i in range(n - 1)])
+    assert [count_nchains(line, k) for k in (1, 2, 3)] == [comb(n, k + 1) for k in (1, 2, 3)]
+    assert count_nchains(line, 3, cap=comb(n, 4)) == comb(n, 4)
+    assert count_nchains(line, 3, cap=comb(n, 4) - 1) == comb(n, 4)
+    assert count_nchains(SQUARE, 1, cap=0) == 1
+    assert count_nchains(SQUARE, 2, ell=-1) == 0
+    with pytest.raises(ValueError, match="n must be positive"):
+        count_nchains(SQUARE, 0)
 
 
 def test_deep_line_graph_enumeration_is_iterative():
