@@ -53,10 +53,13 @@ EXIT_PRECONDITION = 2
 EXIT_GUARD = 3
 
 
-def _open_edges(path: str, epsilon: Fraction | None):
-    if path == "-":
-        return load_weighted_edges(sys.stdin, epsilon)
-    return load_weighted_edges(path, epsilon)
+def _input(path: str):
+    """The input path, or stdin for '-', read as UTF-8 whatever the locale."""
+    if path != "-":
+        return path
+    if hasattr(sys.stdin, "reconfigure"):  # a replaced sys.stdin may lack it
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+    return sys.stdin
 
 
 def _epsilon(args) -> Fraction | None:
@@ -101,7 +104,7 @@ def _dagify(wq: WeightedQuiver, args, ids) -> WeightedQuiver:
 
 
 def cmd_homology(args) -> int:
-    wq, ids = _open_edges(args.edges, _epsilon(args))
+    wq, ids = load_weighted_edges(_input(args.edges), _epsilon(args))
     wq = _dagify(wq, args, ids)
     mode, tol = _field_args(args)
     rep = scalar_representation(mode)
@@ -122,7 +125,7 @@ def cmd_homology(args) -> int:
 
 
 def cmd_features(args) -> int:
-    wq, ids = _open_edges(args.edges, _epsilon(args))
+    wq, ids = load_weighted_edges(_input(args.edges), _epsilon(args))
     fm = feature_matrix(wq, args.hops, args.seed, threads=args.threads)
     print(f"config: hops={args.hops} seed={args.seed} field={EXACT}", file=sys.stderr)
     _write_text(args.output, render_feature_matrix(fm, ids, args.format))
@@ -130,7 +133,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_fas(args) -> int:
-    wq, ids = _open_edges(args.edges, _epsilon(args))
+    wq, ids = load_weighted_edges(_input(args.edges), _epsilon(args))
     res = berger_shor(wq, args.seed)
     if args.dot is not None:
         _write_text(args.dot, to_dot(wq, ids, feedback=res.feedback))
@@ -155,7 +158,7 @@ def cmd_oracle(args) -> int:
         raise ValueError("ell must be nonnegative")
     if args.chain_cap < 0:
         raise ValueError("chain-cap must be nonnegative")
-    wq, ids = _open_edges(args.edges, _epsilon(args))
+    wq, ids = load_weighted_edges(_input(args.edges), _epsilon(args))
     wq = _dagify(wq, args, ids)
     mode, tol = _field_args(args)
     rep = scalar_representation(mode)
@@ -181,7 +184,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_jaccard(args) -> int:
-    wq, ids = _open_edges(args.edges, None)
+    wq, ids = load_weighted_edges(_input(args.edges))
     attrs = load_attributes(args.attributes)
     eps = _epsilon(args)
     weighted = jaccard_weights(wq.quiver, ids, attrs, eps)
@@ -190,10 +193,7 @@ def cmd_jaccard(args) -> int:
 
 
 def cmd_orient(args) -> int:
-    if args.pairs == "-":
-        wq, ids = load_undirected_pairs(sys.stdin)
-    else:
-        wq, ids = load_undirected_pairs(args.pairs)
+    wq, ids = load_undirected_pairs(_input(args.pairs))
     _write_text(args.output, _render_edges(wq, ids))
     return EXIT_OK
 

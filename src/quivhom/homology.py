@@ -40,7 +40,7 @@ from .quiver import (
     NChain,
     Path,
     WeightedQuiver,
-    _chain_ids,
+    _chain_levels,
     _path_list,
     _require_acyclic,
 )
@@ -311,8 +311,7 @@ def build_chain_complex(
     actions = _check_invertible(rep, wq.weights)
     q = wq.quiver
     paths = _path_list(q, ell)
-    ids = [list(range(q.vertex_count))]
-    ids += [list(_chain_ids(paths, n, ell)) for n in range(1, n_max + 1)]
+    ids = [list(range(q.vertex_count)), *_chain_levels(paths, n_max, ell)]
     position = {p.arrows: i for i, p in enumerate(paths)}
     composite: dict[tuple[int, int], int] = {}
     acts = []  # the action of each path's weight

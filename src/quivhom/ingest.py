@@ -1,10 +1,12 @@
 """File ingestion, data-derived weight recipes, and output writers.
 
-Edge lists are one record per line (source, target, optional weight),
-tab- or comma-separated (sniffed from the first data line), '#' comments
-ignored. Weights parse exactly: "1/3" stays 1/3 and "0.25" becomes 1/4.
-Vertex ids are arbitrary tokens mapped to dense indices in first-seen
-order; the mapping is emitted alongside every output.
+Every input file is UTF-8 text, read one record per line by one reader:
+tab- or comma-separated (sniffed from the first data line), blank and '#'
+lines skipped, one byte-order mark opening the input ignored, and text
+that is not UTF-8 a parse error. Edge lists hold (source, target,
+optional weight); weights parse exactly: "1/3" stays 1/3 and "0.25"
+becomes 1/4. Vertex ids are arbitrary tokens mapped to dense indices in
+first-seen order; the mapping is emitted alongside every output.
 
 A weight token is accepted exactly when the running interpreter's
 ``Fraction(token)`` accepts it, so the grammar follows the Python version
@@ -21,6 +23,7 @@ import io
 import json
 import os
 import tempfile
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
@@ -29,17 +32,26 @@ from .features import FeatureMatrix
 from .quiver import Quiver, WeightedQuiver
 
 
-def _sniff_separator(line: str) -> str:
-    return "\t" if "\t" in line else ","
-
-
-def _data_lines(stream: TextIO):
-    """Yield (1-based line number, stripped content) skipping blanks and comments."""
-    for no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield no, line
+def _records(source: str | os.PathLike | TextIO):
+    """Yield (line number, fields) per data line of a UTF-8 path or a stream."""
+    # one generator frame: a nested one would add a hop to every line
+    opened = isinstance(source, (str, os.PathLike))
+    with open(source, encoding="utf-8") if opened else nullcontext(source) as stream:
+        lines = enumerate(stream, start=1)
+        try:
+            for no, raw in lines:
+                # only the first character of the input may be a byte-order mark
+                line = (raw[1:] if no == 1 and raw[:1] == "\ufeff" else raw).strip()
+                if line and not line.startswith("#"):
+                    sep = "\t" if "\t" in line else ","
+                    yield no, line.split(sep)
+                    break
+            for no, raw in lines:
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield no, line.split(sep)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8 text: {exc.reason}") from None
 
 
 def parse_weight(token: str, line: int) -> Fraction:
@@ -58,9 +70,6 @@ def load_weighted_edges(
     (dense index -> original token). Missing weight columns default to 1;
     zero weights are replaced by the epsilon when given, else rejected.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_weighted_edges(fh, zero_weight_epsilon)
     ids: list[str] = []
     id_of: dict[str, int] = {}
     arrows: list[tuple[int, int]] = []
@@ -70,12 +79,8 @@ def load_weighted_edges(
     # one Fraction
     parsed: dict[str, Fraction] = {}
     one = Fraction(1)
-    sep = None
     ncols = None
-    for no, line in _data_lines(source):
-        if sep is None:
-            sep = _sniff_separator(line)
-        fields = line.split(sep)
+    for no, fields in _records(source):
         if ncols is None:
             if len(fields) not in (2, 3):
                 raise ParseError(f"expected 2 or 3 columns, got {len(fields)}", no)
@@ -126,16 +131,10 @@ def load_attributes(
 ) -> dict[str, frozenset[int]]:
     """Parse an attribute file: vertex id followed by a fixed-width 0/1
     vector. Returns the support of each vector keyed by vertex id."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_attributes(fh)
     supports: dict[str, frozenset[int]] = {}
-    sep = None
     width = None
-    for no, line in _data_lines(source):
-        if sep is None:
-            sep = _sniff_separator(line)
-        fields = [f.strip() for f in line.split(sep)]
+    for no, fields in _records(source):
+        fields = [f.strip() for f in fields]
         if len(fields) < 2:
             raise ParseError("expected a vertex id and at least one bit", no)
         vid, bits = fields[0], fields[1:]
@@ -220,15 +219,9 @@ def load_undirected_pairs(
 ) -> tuple[WeightedQuiver, list[str]]:
     """Parse a two-column undirected pair list with integer ids and
     orient it low->high with weight |u - v|."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_undirected_pairs(fh)
     pairs: list[tuple[int, int]] = []
-    sep = None
-    for no, line in _data_lines(source):
-        if sep is None:
-            sep = _sniff_separator(line)
-        fields = [f.strip() for f in line.split(sep)]
+    for no, fields in _records(source):
+        fields = [f.strip() for f in fields]
         if len(fields) != 2:
             raise ParseError(f"expected 2 columns, got {len(fields)}", no)
         try:

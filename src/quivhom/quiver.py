@@ -317,30 +317,34 @@ def _path_list(q: Quiver, ell: int | None) -> list[Path]:
     return list(iter_paths(q, bound)) if bound > 0 else []
 
 
-def _chain_ids(paths: list[Path], n: int, ell: int | None) -> Iterator[tuple[int, ...]]:
-    """Each n-chain of composite length at most ell as the positions of
-    its parts in ``paths`` (from _path_list), in lexicographic order."""
+def _chain_levels(paths: list[Path], n: int, ell: int | None) -> Iterator[list[tuple]]:
+    """For each degree 1..n, the chains of composite length at most ell as
+    tuples of the positions of their parts in ``paths`` (from _path_list),
+    in lexicographic order; each degree extends the one below."""
     succ: dict[int, list[int]] = {}
     for i, p in enumerate(paths):
         succ.setdefault(p.source, []).append(i)
     size = [len(p.arrows) for p in paths]
     level = [((i,), k) for i, k in enumerate(size)]
+    yield [c for c, _ in level]
     for _ in range(n - 1):
         level = [(c + (j,), k + size[j]) for c, k in level
                  for j in succ.get(paths[c[-1]].target, ()) if ell is None or k + size[j] <= ell]
-    for c, _ in level:
-        yield c
+        yield [c for c, _ in level]
 
 
 def iter_nchains(q: Quiver, n: int, ell: int | None = None) -> Iterator[NChain]:
     """Yield all composable n-tuples of paths, i.e. nondegenerate n-chains
     of the free category; with finite ``ell``, only chains whose composite
-    has length at most ell. Deterministic lexicographic order."""
+    has length at most ell. Deterministic lexicographic order. Holds every
+    path no longer than ell (else N) and two degrees' chains at a time."""
     if n < 1:
         raise ValueError("n must be positive")
     _require_acyclic(q, "chain enumeration")
     paths = _path_list(q, ell)
-    for c in _chain_ids(paths, n, ell):
+    for level in _chain_levels(paths, n, ell):
+        pass
+    for c in level:
         yield NChain(tuple(paths[i] for i in c))
 
 
@@ -362,7 +366,9 @@ def _chain_counts(q: Quiver, n: int, ell: int | None = None) -> list[int]:
     # chains are shorter than N, so a larger ell truncates nothing
     lag = 0 if ell is None or ell >= q.vertex_count else 1
     top = max(ell, 0) if lag else 0
-    base = [1] + [0] * n
+    # each part of a chain has an arrow, so no chain has more than N - 1
+    m = max(min(n, q.vertex_count - 1), 0)
+    base = [1] + [0] * m
     table: list = [None] * q.vertex_count
     for v in reversed(order):
         rows = [base] * lag
@@ -370,11 +376,11 @@ def _chain_counts(q: Quiver, n: int, ell: int | None = None) -> list[int]:
             row = base[:]
             for a in q.out_arrows[v]:
                 r = table[q.arrows[a][1]][b - lag]
-                for k in range(1, n + 1):
+                for k in range(1, m + 1):
                     row[k] += r[k - 1] + r[k]
             rows.append(row)
         table[v] = rows
-    return [sum(t[-1][k] for t in table) for k in range(1, n + 1)]
+    return [sum(t[-1][k] for t in table) for k in range(1, m + 1)] + [0] * (n - m)
 
 
 def count_nchains(

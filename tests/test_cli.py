@@ -264,6 +264,16 @@ def test_oracle_guard_handles_deep_graphs(edges_file, capsys):
     assert "exceeds cap" in capsys.readouterr().err
 
 
+def test_oracle_degrees_above_the_longest_path_are_empty(edges_file, capsys):
+    # the triangle's chains stop at degree 2; every higher degree is empty
+    assert main(["oracle", edges_file(TRIANGLE_COMMUTING), "--n-max", "2000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2002  # the table stops below the top degree
+    assert [l.split() for l in lines[1:4]] == [["0", "3", "1"], ["1", "4", "1"], ["2", "1", "0"]]
+    assert [l.split() for l in lines[4:-1]] == [[str(n), "0", "0"] for n in range(3, 2000)]
+    assert lines[-1] == "fast-path dim H1 = 1; matches fast path: yes"
+
+
 def test_jaccard_subcommand(edges_file, tmp_path, capsys):
     src = edges_file("u,v\n")
     attrs = tmp_path / "attrs.csv"
@@ -356,3 +366,35 @@ def test_help_lists_subcommands(capsys):
     out = capsys.readouterr().out
     for name in ("homology", "features", "fas", "oracle", "jaccard", "orient"):
         assert name in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "BAD"], ["features", "BAD"], ["fas", "BAD"], ["oracle", "BAD"],
+    ["jaccard", "BAD", "ATTRS"], ["jaccard", "EDGES", "BAD"], ["orient", "BAD"],
+], ids=["homology", "features", "fas", "oracle", "jaccard-edges", "jaccard-attributes",
+        "orient"])
+def test_input_that_is_not_utf8_exits_1(tmp_path, capsys, argv):
+    paths = {"BAD": tmp_path / "bad.csv", "EDGES": tmp_path / "edges.csv",
+             "ATTRS": tmp_path / "attrs.csv"}
+    paths["BAD"].write_bytes("1,2\n3,\xe94\n".encode("latin-1"))
+    paths["EDGES"].write_text("1,2\n")
+    paths["ATTRS"].write_text("1,1\n2,0\n")
+    assert main([str(paths.get(a, a)) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input is not UTF-8 text: invalid continuation byte\n"
+
+
+def test_stdin_is_read_as_utf8_whatever_the_locale_says(capsys, monkeypatch):
+    # a locale can make stdin decode as Latin-1, or keep bad bytes as
+    # surrogates; "-" reads UTF-8 either way
+    marked = "\ufeff# note\na,b,1\nb,a,1\n".encode()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(marked), encoding="latin-1"))
+    assert main(["homology", "-"]) == 2
+    assert "(a -> b -> a)" in capsys.readouterr().err
+    bad = io.BytesIO("1,2\n3,\xe94\n".encode("latin-1"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(bad, encoding="utf-8", errors="surrogateescape"))
+    assert main(["orient", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: input is not UTF-8 text")

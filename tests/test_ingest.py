@@ -306,3 +306,60 @@ def test_to_dot_marks_feedback():
     dot = to_dot(wq, ids, feedback={1})
     assert '"a" -> "b" [label="2"];' in dot
     assert '"b" -> "a" [label="3", style=dashed];' in dot
+
+
+def _quiver_view(result):
+    wq, ids = result
+    return ids, wq.quiver.arrows, wq.weights
+
+
+# each loader with an input and a view of everything its result holds
+LOADERS = [
+    pytest.param(load_weighted_edges, "a,b,2\nb,c,1/3\n", _quiver_view, id="edges"),
+    pytest.param(load_attributes, "a,1,0\nb,0,1\n", dict, id="attributes"),
+    pytest.param(load_undirected_pairs, "7,3\n1,2\n", _quiver_view, id="pairs"),
+]
+
+
+def read_bytes(loader, data: bytes, how: str, tmp_path):
+    """Run the loader on the data given as a file path or as a stream."""
+    if how == "path":
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        return loader(str(path))
+    return loader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+
+@pytest.mark.parametrize("how", ["path", "stream"])
+@pytest.mark.parametrize("loader, text, view", LOADERS)
+@pytest.mark.parametrize("first_line", ["", "\n", "# note\n"], ids=["data", "blank", "comment"])
+def test_leading_byte_order_mark_is_ignored(tmp_path, how, loader, text, view, first_line):
+    plain = view(read_bytes(loader, (first_line + text).encode(), how, tmp_path))
+    marked = ("\ufeff" + first_line + text).encode()
+    assert marked.startswith(b"\xef\xbb\xbf")
+    assert view(read_bytes(loader, marked, how, tmp_path)) == plain
+
+
+@pytest.mark.parametrize("how", ["path", "stream"])
+@pytest.mark.parametrize("loader, text, ids", [
+    (load_weighted_edges, "\ufeff\ufeffa,b\n\ufeffb,c\n", ["\ufeffa", "b", "\ufeffb", "c"]),
+    (load_weighted_edges, "# note\n\ufeffa,b\n", ["\ufeffa", "b"]),
+    (load_attributes, "\ufeff\ufeffa,1\n\ufeffb,0\n", ["\ufeffa", "\ufeffb"]),
+    (load_undirected_pairs, "\ufeff\ufeff1,2\n", None),
+], ids=["edges", "edges-after-comment", "attributes", "pairs"])
+def test_only_the_byte_order_mark_opening_the_input_is_dropped(tmp_path, how, loader, text, ids):
+    if ids is None:
+        # the U+FEFF left on the first id makes it no integer
+        with pytest.raises(ParseError, match="line 1: undirected pairs need integer"):
+            read_bytes(loader, text.encode(), how, tmp_path)
+        return
+    result = read_bytes(loader, text.encode(), how, tmp_path)
+    assert list(result if isinstance(result, dict) else result[1]) == ids
+
+
+@pytest.mark.parametrize("how", ["path", "stream"])
+@pytest.mark.parametrize("loader, text, view", LOADERS)
+def test_text_that_is_not_utf8_is_a_parse_error(tmp_path, how, loader, text, view):
+    data = text.encode() + b"\xe9,1\n"  # Latin-1 for "é"
+    with pytest.raises(ParseError, match="^input is not UTF-8 text: invalid"):
+        read_bytes(loader, data, how, tmp_path)

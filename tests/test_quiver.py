@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -226,6 +227,20 @@ def test_count_nchains_caps_and_counts_exactly():
     assert count_nchains(SQUARE, 2, ell=-1) == 0
     with pytest.raises(ValueError, match="n must be positive"):
         count_nchains(SQUARE, 0)
+
+
+def test_count_nchains_above_the_longest_path_keeps_short_rows():
+    # a chain has at most N - 1 parts, so each vertex's count row stops
+    # there; one 10**6-long row alone takes 8 MB
+    rng = random.Random(11)
+    q = Quiver(40, [tuple(sorted(rng.sample(range(40), 2))) for _ in range(60)])
+    tracemalloc.start()
+    try:
+        assert count_nchains(q, 10**6) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * 10**6
 
 
 def test_deep_line_graph_enumeration_is_iterative():
