@@ -6,7 +6,8 @@ Subcommands: ``homology`` (dim H1 of a weighted edge list), ``features``
 and ``orient`` (weight-derivation recipes emitting weighted edge lists).
 
 Exit codes: 0 success, 1 I/O or parse failure, 2 precondition violation
-(cyclic input, zero weights, bad config), 3 resource guard tripped.
+(cyclic input, zero weights, bad config), 3 resource guard tripped or
+memory exhausted.
 """
 
 from __future__ import annotations
@@ -295,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except ChainCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_GUARD
     except (QuivhomError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,8 +17,8 @@ Every matrix here (boundaries and chain maps) is assembled by one helper
 that expands each cell's faces into sparse scalar columns {row: coeff},
 whatever the coefficient dimension. The chain complex keeps its
 boundaries as those columns: boundary-of-boundary == 0 is checked on
-them, and exact-mode homology_dims ranks them directly. A DenseMatrix is
-built only on request (``ChainComplexSlice.boundaries``, float-mode rank,
+them, and homology_dims ranks them directly in both field modes. A
+DenseMatrix is built only on request (``ChainComplexSlice.boundaries``,
 the degree-1 boundary and chain maps).
 """
 
@@ -269,7 +269,7 @@ class ChainComplexSlice:
     alternating signs; the last face drops the final morphism.
     ``columns[n]`` holds boundary n (degree n to degree n-1; index 0 is
     empty) as sparse scalar columns {row: coeff}, one per chain x
-    coordinate, which exact-mode homology_dims ranks directly.
+    coordinate, which homology_dims ranks directly.
     ``boundaries[n]`` is the same map as a DenseMatrix (index 0 is None),
     densified on first access and cached.
     """
@@ -367,8 +367,10 @@ def _verify_square_zero(sparse: list[list[dict]], d: int, mode: str) -> None:
 
     A factor that is the int +1 or -1 (an identity coefficient) is added
     or subtracted; only the other products are multiplied. Exact mode
-    demands literal zeros; float mode allows rounding noise
-    (float(a)*float(b) need not equal float(a*b)). The error names the
+    demands literal zeros. Float mode allows rounding noise
+    (float(a)*float(b) need not equal float(a*b)): each residue may be up
+    to 1e-9 times the sum of the |products| summed into its row, while a
+    broken face map leaves one as large as its terms. The error names the
     degree and the chain whose column fails."""
     for n in range(2, len(sparse)):
         below = sparse[n - 1]
@@ -390,7 +392,12 @@ def _verify_square_zero(sparse: list[list[dict]], d: int, mode: str) -> None:
                             y = x * y
                         acc[g] = acc[g] + y if g in acc else y
             if mode == FLOAT:
-                ok = all(abs(v) < 1e-9 for v in acc.values())
+                # rounding leaves a residue relative to the terms summed
+                scale: dict = {}
+                for i, x in col.items():
+                    for g, y in below[i].items():
+                        scale[g] = scale.get(g, 0.0) + abs(x * y)
+                ok = all(abs(v) <= 1e-9 * scale[g] for g, v in acc.items())
             else:
                 ok = not any(acc.values())
             if not ok:
@@ -403,15 +410,16 @@ def homology_dims(c: ChainComplexSlice, tol: float = 1e-9) -> list[int]:
     """dim H_n for n = 0..n_max-1.
 
     H_n = (nullity of boundary n) - (rank of boundary n+1), with the
-    degree-0 boundary the zero map. Exact mode ranks each degree's sparse
-    columns directly, fed in as the rows of the transpose (rank A =
-    rank A^T), so no dense matrix is built; float mode ranks ``boundaries``.
+    degree-0 boundary the zero map. Each degree's sparse columns are
+    ranked directly, fed in as the rows of the transpose (rank A =
+    rank A^T), so no dense matrix is built: exact columns through
+    _integer_dicts, float columns as copies, with ``tol``.
     """
     d = c.rep.dim
-    if c.rep.mode == FLOAT:
-        ranks = [0] + [m.rank(tol) for m in c.boundaries[1:]]
-    else:
-        ranks = [0] + [_rank_sparse(_integer_dicts(cols)) for cols in c.columns[1:]]
+    exact = c.rep.mode == EXACT
+    ranks = [0] + [_rank_sparse(_integer_dicts(cols)) if exact
+                   else _rank_sparse(list(map(dict, cols)), tol)
+                   for cols in c.columns[1:]]
     dims: list[int] = []
     for n in range(c.n_max):
         kernel = len(c.bases[n]) * d - ranks[n]

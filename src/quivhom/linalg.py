@@ -1,10 +1,10 @@
 """Dense matrices over exact rationals or 64-bit floats.
 
 Every matrix carries a field-mode tag fixed at construction: "exact"
-(entries are fractions.Fraction) or "float". Rank in exact mode is the
-rank over the rationals, found by one sparse integer elimination fed only
-the nonzero entries; in float mode it counts pivots above a tolerance
-under partial pivoting.
+(entries are fractions.Fraction) or "float". One sparse elimination, fed
+only the nonzero entries, ranks both: over the integers in exact mode
+(the rank over the rationals), and in float mode counting pivots above a
+tolerance.
 """
 
 from __future__ import annotations
@@ -133,17 +133,11 @@ class DenseMatrix:
         return self.sub(other)
 
     def rank(self, tol: float = 1e-9) -> int:
-        """Rank of the matrix. Exact mode: the rank over the rationals, by
-        sparse integer elimination over the nonzero entries. Float mode:
-        pivots with |p| > tol under Gaussian elimination with partial
-        pivoting; tol must be finite and nonnegative."""
-        if self.rows == 0 or self.cols == 0:
-            return 0
+        """Rank of the matrix by sparse elimination over the nonzero
+        entries. Exact mode: the rank over the rationals. Float mode: the
+        pivots with |p| > tol; tol must be finite and nonnegative."""
         if self.mode == FLOAT:
-            # an infinite tol accepts no pivot; NaN fails every comparison
-            if not 0 <= tol < inf:
-                raise ValueError("tol must be nonnegative and finite")
-            return _rank_float(self, tol)
+            return _rank_sparse(_sparse_rows(self), tol)
         return _rank_sparse(_integer_rows(self))
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
@@ -167,46 +161,18 @@ class DenseMatrix:
         return basis
 
 
-def _rank_float(m: DenseMatrix, tol: float) -> int:
-    a = [list(m.row(i)) for i in range(m.rows)]
-    nrows, ncols = m.rows, m.cols
-    rank = 0
-    r = 0
-    for c in range(ncols):
-        piv, best = -1, tol
-        for i in range(r, nrows):
-            v = abs(a[i][c])
-            if v > best:
-                piv, best = i, v
-        if piv < 0:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        prow = a[r]
-        pval = prow[c]
-        for i in range(r + 1, nrows):
-            f = a[i][c] / pval
-            if f != 0.0:
-                row = a[i]
-                for j in range(c, ncols):
-                    row[j] -= f * prow[j]
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
+def _sparse_rows(m: DenseMatrix) -> list[dict]:
+    """The rows of m as new sparse {col: entry} dicts. Zero entries are
+    skipped by a truth test and never converted."""
+    cols = range(m.cols)
+    return [{j: row[j] for j in compress(cols, row)}
+            for row in map(m.row, range(m.rows))]
 
 
 def _integer_rows(m: DenseMatrix) -> list[dict[int, int]]:
-    """The nonzero rows of an exact matrix as sparse {col: int} dicts.
-
-    Zero entries are skipped by a truth test and never converted; the
-    rows then go through _integer_dicts.
-    """
-    cols = range(m.cols)
-    return _integer_dicts(
-        {j: row[j] for j in compress(cols, row)}
-        for row in map(m.row, range(m.rows))
-    )
+    """The nonzero rows of an exact matrix as sparse {col: int} dicts,
+    through _integer_dicts."""
+    return _integer_dicts(_sparse_rows(m))
 
 
 def _integer_dicts(vectors: Iterable[dict]) -> list[dict[int, int]]:
@@ -230,12 +196,23 @@ def _integer_dicts(vectors: Iterable[dict]) -> list[dict[int, int]]:
     return out
 
 
-def _rank_sparse(sparse: list[dict[int, int]]) -> int:
-    """Exact rank of the rows from _integer_dicts by sparse elimination with
-    Markowitz-style pivoting; rows are gcd-normalized after each update to
-    keep entries small. The rows are modified in place. A step changes the
-    row counts of the pivot row's columns only, so they are pushed again
-    on a heap of (row count, column) that skips stale entries."""
+def _rank_sparse(sparse: list[dict], tol: float | None = None) -> int:
+    """Rank of sparse rows {col: entry} by elimination with Markowitz-style
+    pivoting; the rows are modified in place. The next column is the one
+    with the fewest rows, popped from a heap of (row count, column) that
+    skips stale entries (a step changes the counts of the pivot row's
+    columns only, which are pushed again).
+
+    tol=None ranks the integer rows from _integer_dicts exactly: the pivot
+    is the shortest row (then the lowest index), and rows are
+    gcd-normalized after each update. Otherwise the rows are floats and
+    tol must be finite and nonnegative: the pivot is the entry of largest
+    |x| (then the shorter row, then the lower index), and a column with no
+    |x| > tol has no pivot and loses its entries.
+    """
+    # an infinite tol accepts no pivot; NaN fails every comparison
+    if tol is not None and not 0 <= tol < inf:
+        raise ValueError("tol must be nonnegative and finite")
     col_rows: dict[int, set[int]] = {}
     for i, d in enumerate(sparse):
         for j in d:
@@ -245,24 +222,37 @@ def _rank_sparse(sparse: list[dict[int, int]]) -> int:
     rank = 0
     while heap:
         k, c = heappop(heap)
-        if k != len(col_rows[c]):
+        rows = col_rows[c]
+        if k != len(rows):
             continue
-        piv = min(col_rows[c], key=lambda i: (len(sparse[i]), i))
+        if tol is None:
+            piv = min(rows, key=lambda i: (len(sparse[i]), i))
+        else:
+            piv = min(rows, key=lambda i: (-abs(sparse[i][c]), len(sparse[i]), i))
+            if abs(sparse[piv][c]) <= tol:
+                for i in rows:
+                    del sparse[i][c]
+                rows.clear()
+                continue
         prow = sparse[piv]
         p = prow[c]
         rank += 1
         for j in prow:
             col_rows[j].discard(piv)
-        for i in list(col_rows[c]):
+        rest = [(j, pv) for j, pv in prow.items() if j != c]
+        for i in rows:
             row = sparse[i]
-            f = row[c]
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            # row <- a*row - b*prow (a valid elementary operation since a != 0)
-            if a != 1:
-                for j in row:
-                    row[j] *= a
-            for j, pv in prow.items():
+            f = row.pop(c)
+            if tol is None:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                # row <- a*row - b*prow (a valid elementary operation since a != 0)
+                if a != 1:
+                    for j in row:
+                        row[j] *= a
+            else:
+                b = f / p
+            for j, pv in rest:
                 nv = row.get(j, 0) - b * pv
                 if nv:
                     if j not in row:
@@ -271,12 +261,13 @@ def _rank_sparse(sparse: list[dict[int, int]]) -> int:
                 elif j in row:
                     del row[j]
                     col_rows[j].discard(i)
-            if row:
+            if tol is None and row:
                 g = gcd(*row.values())
                 if g > 1:
                     for j in row:
                         row[j] //= g
-        for j in prow:
+        rows.clear()
+        for j, _ in rest:
             if col_rows[j]:
                 heappush(heap, (len(col_rows[j]), j))
     return rank

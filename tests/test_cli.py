@@ -202,6 +202,28 @@ def test_oracle_chain_cap_reports_the_exact_count(edges_file, capsys):
     assert captured.out == ""
 
 
+def test_oracle_out_of_memory_exits_3_without_traceback(edges_file, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("quivhom.cli.build_chain_complex", exhausted)
+    assert main(["oracle", edges_file(TRIANGLE_COMMUTING)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory\n"
+    assert captured.out == ""
+
+
+def test_float_oracle_accepts_large_weights(edges_file, capsys):
+    # the degree-2 boundary-squared residue rounds to 0.0156 here; an
+    # absolute 1e-9 bound used to reject it with exit 2
+    path = edges_file("x,y,244272509/38\ny,z,480712774/25\n")
+    assert main(["oracle", path]) == 0
+    exact = capsys.readouterr().out
+    assert main(["oracle", path, "--field", "float"]) == 0
+    assert capsys.readouterr().out == exact
+    assert exact.endswith("matches fast path: yes\n")
+
+
 @pytest.mark.parametrize("flag, message", [
     ("--chain-cap", "chain-cap must be nonnegative"),
     ("--ell", "ell must be nonnegative"),

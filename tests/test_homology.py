@@ -218,7 +218,7 @@ DIFFERENTIAL_REPS = [
 
 @pytest.mark.parametrize("rep", DIFFERENTIAL_REPS, ids=["scalar", "two-dimensional", "float"])
 def test_homology_dims_matches_dense_boundary_ranks(rep):
-    # exact mode ranks the sparse columns; the dense boundaries give the
+    # homology_dims ranks the sparse columns; the dense boundaries give the
     # same dims, and ranking the columns leaves them intact
     rng = random.Random(2024)
     for _ in range(20):
@@ -234,7 +234,7 @@ def test_homology_dims_matches_dense_boundary_ranks(rep):
             assert c.boundaries == fresh.boundaries
 
 
-@pytest.mark.parametrize("rep", DIFFERENTIAL_REPS[:2], ids=["scalar", "two-dimensional"])
+@pytest.mark.parametrize("rep", DIFFERENTIAL_REPS, ids=["scalar", "two-dimensional", "float"])
 def test_exact_homology_dims_builds_no_dense_matrix(rep, monkeypatch):
     def refuse(*args):
         raise AssertionError("densified")

@@ -269,6 +269,10 @@ def test_float_rank_respects_tolerance():
     m = DenseMatrix.from_rows([[1.0, 1.0], [1.0, 1.0 + 1e-12]], mode=FLOAT)
     assert m.rank(tol=1e-9) == 1
     assert m.rank(tol=1e-15) == 2
+    # a column with no entry above tol has no pivot
+    assert DenseMatrix.from_rows([[1e-12, 0], [0, 1]], mode=FLOAT).rank(tol=1e-9) == 1
+    # the largest entry of a column is its pivot, not the shortest row's
+    assert DenseMatrix.from_rows([[1e-12, 1], [1, 1]], mode=FLOAT).rank(tol=1e-9) == 2
 
 
 @pytest.mark.parametrize("tol", [-1e-9, float("nan")])
