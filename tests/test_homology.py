@@ -448,3 +448,18 @@ def test_chain_complex_pinned_digest():
         for m in induced_chain_map(f, phi, src, dst):
             _hash_matrix(h, m)
     assert h.hexdigest() == PINNED_CHAIN_COMPLEX_SHA256
+
+
+PINNED_BOUNDARY1_SHA256 = (
+    "79b626930a07faa65a9a9a3524d6cd09655041494cc26f2f8f5ac0a80d27d777")
+
+
+def test_boundary1_pinned_digest():
+    # the degree-1 boundary of the 50 DAGs above, in each differential rep
+    rng = random.Random(4321)
+    h = hashlib.sha256()
+    for _ in range(50):
+        wq = random_acyclic_weighted_quiver(rng)
+        for rep in DIFFERENTIAL_REPS:
+            _hash_matrix(h, boundary1_matrix(wq, rep))
+    assert h.hexdigest() == PINNED_BOUNDARY1_SHA256
