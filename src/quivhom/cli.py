@@ -108,6 +108,8 @@ def cmd_homology(args) -> int:
     wq, ids = load_weighted_edges(_input(args.edges), _epsilon(args))
     wq = _dagify(wq, args, ids)
     mode, tol = _field_args(args)
+    if args.kernel_basis and mode != EXACT:
+        raise WeightError("kernel basis needs exact mode")
     rep = scalar_representation(mode)
     if args.dot is not None:
         _write_text(args.dot, to_dot(wq, ids))
@@ -118,8 +120,6 @@ def cmd_homology(args) -> int:
         for i in range(m.rows):
             print(" ".join(str(x) for x in m.row(i)))
     if args.kernel_basis:
-        if mode != EXACT:
-            raise WeightError("kernel basis needs exact mode")
         for vec in h1_kernel_basis(wq, rep):
             print("kernel: (" + ", ".join(str(x) for x in vec) + ")")
     return EXIT_OK

@@ -1,25 +1,29 @@
 """Homology of weighted acyclic quivers.
 
-Two routes to the same numbers:
+Every number here is the homology of one chain complex: the
+nondegenerate chains of F^ell(Q), the free category on Q truncated at
+composite path length ell (untruncated when ell is None), with
+coefficients twisted by a weight action. build_chain_complex assembles
+it and homology_dims ranks it.
 
-* the fast path: dim H1 is the nullity of the degree-1 boundary matrix
-  whose column for an arrow u holds -I at the source block and the weight
-  action at the target block (H_n vanishes for n >= 2 on acyclic quivers).
-  For a 1-dimensional exact representation that matrix is the incidence
-  matrix of a gain graph, and the nullity is read off a spanning forest
-  instead of an elimination;
-* a brute-force chain complex over the nondegenerate chains of the free
-  category, optionally truncated by composite path length, which recomputes
-  the same homology from first principles and is used to cross-check the
-  fast path.
+* The fast path is the ell = 1 complex. No two arrows compose, so it has
+  no chains of degree 2, and its degree-1 boundary column for an arrow u
+  holds -I at the source block and the action of w(u) at the target
+  block. dim H1 is the nullity of that boundary, and it equals the
+  untruncated dim H1, because the path algebra of an acyclic quiver is
+  hereditary. For a 1-dimensional exact representation the boundary is
+  the incidence matrix of a gain graph, and the nullity is read off a
+  spanning forest, with no complex built at all.
+* The untruncated complex (the oracle) recomputes the same homology from
+  first principles in every degree and cross-checks the fast path.
 
 Every matrix here (boundaries and chain maps) is assembled by one helper
 that expands each cell's faces into sparse scalar columns {row: coeff},
 whatever the coefficient dimension. The chain complex keeps its
 boundaries as those columns: boundary-of-boundary == 0 is checked on
 them, and homology_dims ranks them directly in both field modes. A
-DenseMatrix is built only on request (``ChainComplexSlice.boundaries``,
-the degree-1 boundary and chain maps).
+DenseMatrix is built only for output: ``ChainComplexSlice.boundaries``
+(which boundary1_matrix and the kernel basis read) and chain maps.
 """
 
 from __future__ import annotations
@@ -60,7 +64,10 @@ class Representation:
     mode: str = EXACT
 
     def action(self, w: Fraction) -> DenseMatrix:
-        m = self.act(w)
+        try:
+            m = self.act(w)
+        except OverflowError:  # float(w) past the largest float
+            raise WeightError(f"action of weight {w} overflows") from None
         if (m.rows, m.cols) != (self.dim, self.dim):
             raise ValueError("weight action has wrong shape")
         if m.mode != self.mode:
@@ -148,26 +155,25 @@ def _densify(cols: list[dict], rows: int, mode: str) -> DenseMatrix:
 
 
 def boundary1_matrix(wq: WeightedQuiver, rep: Representation | None = None) -> DenseMatrix:
-    """The degree-1 boundary matrix of (Q, w) with coefficients in rep.
+    """The degree-1 boundary matrix of (Q, w) with coefficients in rep:
+    boundary 1 of the ell = 1 complex, densified.
 
-    Rows are vertex x coordinate blocks, columns arrow x coordinate blocks;
-    the column block of arrow u is -I at the source and the action of w(u)
-    at the target. dim H1 equals its nullity.
+    At ell = 1 the degree-1 chains are the arrows in index order. Rows are
+    vertex x coordinate blocks, columns arrow x coordinate blocks; the
+    column block of arrow u is -I at the source and the action of w(u) at
+    the target. dim H1 equals its nullity.
     """
-    rep = rep or scalar_representation()
-    _require_acyclic(wq.quiver, "weighted quiver homology")
-    actions = _check_invertible(rep, wq.weights)
-    cells = [((t, 1, actions[w]), (s, -1, None))
-             for (s, t), w in zip(wq.quiver.arrows, wq.weights)]
-    cols = _scalar_columns(cells, rep.dim, rep.mode)
-    return _densify(cols, wq.vertex_count * rep.dim, rep.mode)
+    return build_chain_complex(wq, rep, 1, 1).boundaries[1]
 
 
 def dim_h1(wq: WeightedQuiver, rep: Representation | None = None, tol: float = 1e-9) -> int:
-    """dim H1(Q, w; M) = columns - rank of the degree-1 boundary matrix.
+    """dim H1(Q, w; M), which is H1 of the ell = 1 complex: that complex
+    has no chains of degree 2, so H1 is the nullity of its degree-1
+    boundary.
 
-    A 1-dimensional exact representation takes the gain-graph route
-    (no matrix is built); any other is ranked, float mode with ``tol``.
+    A 1-dimensional exact representation takes the gain-graph route (no
+    complex is built); any other ranks the sparse degree-1 columns of the
+    ell = 1 complex, float mode with ``tol``. No DenseMatrix is built.
     """
     rep = rep or scalar_representation()
     if rep.dim == 1 and rep.mode == EXACT:
@@ -176,8 +182,7 @@ def dim_h1(wq: WeightedQuiver, rep: Representation | None = None, tol: float = 1
         gains = [actions[w].at(0, 0) for w in wq.weights]
         q = wq.quiver
         return gain_graph_h1(q.vertex_count, q.arrows, gains)
-    m = boundary1_matrix(wq, rep)
-    return m.cols - m.rank(tol)
+    return homology_dims(build_chain_complex(wq, rep, 2, 1), tol)[1]
 
 
 def gain_graph_h1(n: int, arcs: Sequence[tuple[int, int]], gains: Sequence[Fraction]) -> int:

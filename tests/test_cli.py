@@ -224,6 +224,30 @@ def test_float_oracle_accepts_large_weights(edges_file, capsys):
     assert exact.endswith("matches fast path: yes\n")
 
 
+@pytest.mark.parametrize("command, edges", [
+    ("homology", "a,b,1e400\n"),
+    ("oracle", "a,b,1e400\n"),
+    ("oracle", "a,b,1e200\nb,c,1e200\n"),  # the path weight overflows
+], ids=["homology-weight", "oracle-weight", "oracle-path-weight"])
+def test_float_overflow_exits_2_without_traceback(edges_file, capsys, command, edges):
+    assert main([command, edges_file(edges), "--field", "float"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: action of weight 1")
+    assert captured.err.endswith(" overflows\n")
+    assert "Traceback" not in captured.err
+
+
+def test_float_kernel_basis_fails_before_any_output(edges_file, tmp_path, capsys):
+    dot = tmp_path / "quiver.dot"
+    argv = ["homology", edges_file(TRIANGLE_COMMUTING), "--field", "float",
+            "--kernel-basis", "--matrix", "--dot", str(dot)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: kernel basis needs exact mode\n"
+    assert captured.out == ""
+    assert not dot.exists()
+
+
 @pytest.mark.parametrize("flag, message", [
     ("--chain-cap", "chain-cap must be nonnegative"),
     ("--ell", "ell must be nonnegative"),

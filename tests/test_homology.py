@@ -240,6 +240,7 @@ def test_exact_homology_dims_builds_no_dense_matrix(rep, monkeypatch):
         raise AssertionError("densified")
 
     monkeypatch.setattr(homology, "_densify", refuse)
+    assert dim_h1(triangle(2, 3, 6), rep) == rep.dim
     c = build_chain_complex(triangle(2, 3, 6), rep, n_max=3)
     assert homology_dims(c) == [rep.dim, rep.dim, 0]
     assert "boundaries" not in vars(c)
