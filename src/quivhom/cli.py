@@ -28,7 +28,6 @@ from .errors import (
 from .fas import berger_shor
 from .features import feature_matrix
 from .homology import (
-    boundary1_matrix,
     build_chain_complex,
     dim_h1,
     h1_kernel_basis,
@@ -116,9 +115,18 @@ def cmd_homology(args) -> int:
     h1 = dim_h1(wq, rep, tol)
     print(f"dim H1 = {h1}")
     if args.matrix:
-        m = boundary1_matrix(wq, rep)
-        for i in range(m.rows):
-            print(" ".join(str(x) for x in m.row(i)))
+        # one dense row at a time from the sparse columns: the matrix is N x M
+        cols = build_chain_complex(wq, rep, 1, 1).columns[1]
+        rows: list[list] = [[] for _ in range(wq.vertex_count)]
+        for c, col in enumerate(cols):
+            for r, x in col.items():
+                rows[r].append((c, x))
+        zero = "0.0" if mode == FLOAT else "0"
+        for entries in rows:
+            line = [zero] * len(cols)
+            for c, x in entries:
+                line[c] = str(x)
+            print(" ".join(line))
     if args.kernel_basis:
         for vec in h1_kernel_basis(wq, rep):
             print("kernel: (" + ", ".join(str(x) for x in vec) + ")")

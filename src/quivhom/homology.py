@@ -21,9 +21,9 @@ Every matrix here (boundaries and chain maps) is assembled by one helper
 that expands each cell's faces into sparse scalar columns {row: coeff},
 whatever the coefficient dimension. The chain complex keeps its
 boundaries as those columns: boundary-of-boundary == 0 is checked on
-them, and homology_dims ranks them directly in both field modes. A
-DenseMatrix is built only for output: ``ChainComplexSlice.boundaries``
-(which boundary1_matrix and the kernel basis read) and chain maps.
+them, homology_dims ranks them and h1_kernel_basis eliminates them. A
+DenseMatrix is built only by ``ChainComplexSlice.boundaries`` (which
+boundary1_matrix and the tests read) and by chain maps.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     MorphismError,
     WeightError,
 )
-from .linalg import EXACT, FLOAT, DenseMatrix, _integer_dicts, _rank_sparse
+from .linalg import EXACT, FLOAT, DenseMatrix, _integer_dicts, _kernel_sparse, _rank_sparse
 from .quiver import (
     NChain,
     Path,
@@ -256,11 +256,12 @@ def gain_graph_h1(n: int, arcs: Sequence[tuple[int, int]], gains: Sequence[Fract
 def h1_kernel_basis(
     wq: WeightedQuiver, rep: Representation | None = None
 ) -> list[tuple[Fraction, ...]]:
-    """A basis of H1 as kernel vectors indexed by arrow x coordinate."""
+    """A basis of H1 as kernel vectors indexed by arrow x coordinate (the
+    reduced echelon basis): _kernel_sparse on the ell = 1 complex."""
     rep = rep or scalar_representation()
     if rep.mode != EXACT:
         raise FieldModeError("kernel basis requires exact mode")
-    return boundary1_matrix(wq, rep).kernel_basis()
+    return _kernel_sparse(build_chain_complex(wq, rep, 1, 1).columns[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,10 +269,12 @@ class ChainComplexSlice:
     """Degrees 0..n_max of the nondegenerate chain complex of F(Q) with
     coefficients twisted by the weight action, optionally ell-truncated.
 
-    ``bases[0]`` is the vertex list; ``bases[n]`` the NChain basis in
-    degree n. The d0 face of a chain is twisted by the action of the weight
-    of its first morphism; middle faces compose consecutive morphisms with
-    alternating signs; the last face drops the final morphism.
+    ``chain_ids[0]`` lists the vertices, ``chain_ids[n]`` the degree-n
+    chains as tuples of positions in ``paths``; ``bases[n]`` holds them as
+    NChains, built on first access and cached. The d0 face of a chain is
+    twisted by the action of the weight of its first morphism; middle
+    faces compose consecutive morphisms with alternating signs; the last
+    face drops the final morphism.
     ``columns[n]`` holds boundary n (degree n to degree n-1; index 0 is
     empty) as sparse scalar columns {row: coeff}, one per chain x
     coordinate, which homology_dims ranks directly.
@@ -283,19 +286,27 @@ class ChainComplexSlice:
     rep: Representation
     n_max: int
     ell: int | None
-    bases: tuple
+    chain_ids: tuple
+    paths: tuple
     columns: tuple
+
+    @cached_property
+    def bases(self) -> tuple:
+        return (tuple(self.chain_ids[0]),) + tuple(
+            tuple(NChain(tuple(self.paths[i] for i in c)) for c in ids)
+            for ids in self.chain_ids[1:]
+        )
 
     @cached_property
     def boundaries(self) -> tuple:
         d, mode = self.rep.dim, self.rep.mode
         return (None,) + tuple(
-            _densify(self.columns[n], len(self.bases[n - 1]) * d, mode)
+            _densify(self.columns[n], len(self.chain_ids[n - 1]) * d, mode)
             for n in range(1, self.n_max + 1)
         )
 
     def basis_sizes(self) -> list[int]:
-        return [len(b) for b in self.bases]
+        return [len(ids) for ids in self.chain_ids]
 
 
 def build_chain_complex(
@@ -308,7 +319,7 @@ def build_chain_complex(
     as sparse scalar columns; boundary-of-boundary == 0 is verified on
     those columns. No dense matrix is built here: ``boundaries`` densifies
     on first access. Chains are tuples of path positions, so faces are
-    slices; NChains are built only for ``bases``."""
+    slices; NChains are built only when ``bases`` is read."""
     rep = rep or scalar_representation()
     _require_acyclic(wq.quiver, "weighted quiver homology")
     if n_max < 1:
@@ -354,15 +365,13 @@ def build_chain_complex(
 
     _verify_square_zero(columns, rep.dim, rep.mode)
 
-    bases = [tuple(ids[0])] + [
-        tuple(NChain(tuple(paths[i] for i in c)) for c in ids[n])
-        for n in range(1, n_max + 1)]
     return ChainComplexSlice(
         wq=wq,
         rep=rep,
         n_max=n_max,
         ell=ell,
-        bases=tuple(bases),
+        chain_ids=tuple(ids),
+        paths=tuple(paths),
         columns=tuple(columns),
     )
 
@@ -427,7 +436,7 @@ def homology_dims(c: ChainComplexSlice, tol: float = 1e-9) -> list[int]:
                    for cols in c.columns[1:]]
     dims: list[int] = []
     for n in range(c.n_max):
-        kernel = len(c.bases[n]) * d - ranks[n]
+        kernel = len(c.chain_ids[n]) * d - ranks[n]
         dims.append(kernel - ranks[n + 1])
     return dims
 

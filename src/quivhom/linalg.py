@@ -4,7 +4,7 @@ Every matrix carries a field-mode tag fixed at construction: "exact"
 (entries are fractions.Fraction) or "float". One sparse elimination, fed
 only the nonzero entries, ranks both: over the integers in exact mode
 (the rank over the rationals), and in float mode counting pivots above a
-tolerance.
+tolerance. Exact kernel bases come from a left-to-right sparse elimination.
 """
 
 from __future__ import annotations
@@ -141,24 +141,12 @@ class DenseMatrix:
         return _rank_sparse(_integer_rows(self))
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
-        """A basis of the right null space {x : self @ x == 0}.
-
-        Exact mode only. Vectors come from the reduced echelon form, one
-        per free column in ascending column order, with entry 1 at the
-        free column.
-        """
+        """A basis of the right null space {x : self @ x == 0}, exact mode
+        only: the reduced echelon form's, from _kernel_sparse on the
+        sparse columns."""
         if self.mode != EXACT:
             raise FieldModeError("kernel_basis requires exact mode")
-        reduced, pivots = _rref(self)
-        free = [j for j in range(self.cols) if j not in pivots]
-        basis: list[tuple[Fraction, ...]] = []
-        for f in free:
-            vec = [_F0] * self.cols
-            vec[f] = _F1
-            for r, pc in enumerate(pivots):
-                vec[pc] = -reduced[r][f]
-            basis.append(tuple(vec))
-        return basis
+        return _kernel_sparse(_sparse_rows(self.transpose()))
 
 
 def _sparse_rows(m: DenseMatrix) -> list[dict]:
@@ -273,29 +261,45 @@ def _rank_sparse(sparse: list[dict], tol: float | None = None) -> int:
     return rank
 
 
-def _rref(m: DenseMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (rows, pivot cols)."""
-    a = [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        piv = -1
-        for i in range(r, m.rows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pval = a[r][c]
-        a[r] = [x / pval for x in a[r]]
-        prow = a[r]
-        for i in range(m.rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return a[: len(pivots)], pivots
+def _kernel_sparse(cols: list[dict]) -> list[tuple[Fraction, ...]]:
+    """A kernel basis of the exact matrix with sparse columns {row: entry}:
+    per free column, in ascending order, the one kernel vector with 1 there
+    and 0 at every other free column (the reduced echelon form's).
+
+    Columns are eliminated left to right, each by the pivots in the order
+    they were made, popped from a heap: a pivot is zero at every earlier
+    pivot's row, so the heap never goes back. A column that reduces to zero
+    is free; the combination of columns that zeroed it is its kernel vector.
+    """
+    pivot_of: dict[int, int] = {}  # pivot row -> pivot number
+    pivots: list[tuple[int, dict, dict]] = []  # (row, reduced column, combination)
+    basis: list[tuple[Fraction, ...]] = []
+    for j, col in enumerate(cols):
+        vec = {r: Fraction(x) for r, x in col.items()}
+        comb = {j: _F1}
+        heap = [pivot_of[r] for r in vec if r in pivot_of]
+        heapify(heap)
+        while heap:
+            r, pvec, pcomb = pivots[heappop(heap)]
+            if r not in vec:  # pushed twice, or cleared by an earlier pivot
+                continue
+            f = vec[r] / pvec[r]
+            for part, src in ((vec, pvec), (comb, pcomb)):
+                for i, x in src.items():
+                    y = part.get(i, 0) - f * x
+                    if y:
+                        if part is vec and i not in vec and i in pivot_of:
+                            heappush(heap, pivot_of[i])
+                        part[i] = y
+                    else:
+                        del part[i]
+        if vec:
+            r = min(vec)
+            pivot_of[r] = len(pivots)
+            pivots.append((r, vec, comb))
+        else:
+            out = [_F0] * len(cols)
+            for i, x in comb.items():
+                out[i] = x
+            basis.append(tuple(out))
+    return basis

@@ -24,11 +24,13 @@ from quivhom import (
     boundary1_matrix,
     build_chain_complex,
     dim_h1,
+    h1_kernel_basis,
     homology_dims,
 )
 from quivhom import homology
 from quivhom.homology import Representation, gain_graph_h1
 from conftest import HUGE, EXTREME_WEIGHTS as POOL
+from test_linalg import _rref_kernel_basis
 
 
 def random_dag(rng: random.Random) -> WeightedQuiver:
@@ -123,6 +125,15 @@ def test_two_dimensional_action_takes_matrix_path(count_ranks):
         assert h1 == oracle_h1(wq, rep)
         # a diagonal action splits into its two 1-dimensional parts
         assert h1 == dim_h1(wq) + dim_h1(wq, square)
+
+
+def test_kernel_basis_matches_rref_of_the_dense_boundary():
+    reps = [None, Representation(2, diagonal_action), Representation(1, square_action)]
+    rng = random.Random(0x4B)
+    for _ in range(60):
+        wq = random_dag(rng)
+        for rep in reps:
+            assert h1_kernel_basis(wq, rep) == _rref_kernel_basis(boundary1_matrix(wq, rep))
 
 
 def test_two_dimensional_action_splits_in_every_degree():

@@ -28,7 +28,8 @@ from quivhom import (
 )
 from quivhom import homology
 from quivhom.homology import Representation, path_weight
-from quivhom.linalg import FLOAT
+from quivhom.cli import main
+from quivhom.linalg import EXACT, FLOAT
 from quivhom.quiver import make_path
 from conftest import random_acyclic_weighted_quiver, weak_component_count
 
@@ -241,11 +242,30 @@ def test_exact_homology_dims_builds_no_dense_matrix(rep, monkeypatch):
 
     monkeypatch.setattr(homology, "_densify", refuse)
     assert dim_h1(triangle(2, 3, 6), rep) == rep.dim
+    if rep.mode == EXACT:
+        assert len(h1_kernel_basis(triangle(2, 3, 6), rep)) == rep.dim
     c = build_chain_complex(triangle(2, 3, 6), rep, n_max=3)
     assert homology_dims(c) == [rep.dim, rep.dim, 0]
     assert "boundaries" not in vars(c)
     with pytest.raises(AssertionError, match="densified"):
         c.boundaries
+
+
+def test_chain_bases_are_built_only_when_read(tmp_path, capsys, monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("built an NChain")
+
+    monkeypatch.setattr(NChain, "__init__", refuse)
+    edges = tmp_path / "edges.csv"
+    edges.write_text("a,b,2\nb,c,3\na,c,6\n")
+    assert main(["oracle", str(edges), "--n-max", "3"]) == 0
+    assert "matches fast path: yes" in capsys.readouterr().out
+    c = build_chain_complex(triangle(2, 3, 6), n_max=3)
+    assert c.basis_sizes() == [3, 4, 1, 0]
+    assert homology_dims(c) == [1, 1, 0]
+    assert len(c.boundaries[2].entries) == 4
+    with pytest.raises(AssertionError, match="built an NChain"):
+        c.bases
 
 
 def test_chain_complex_and_chain_maps_never_hash_a_chain(monkeypatch):

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from quivhom import DenseMatrix, FieldModeError, build_chain_complex
-from quivhom.linalg import EXACT, FLOAT, _integer_dicts, _integer_rows, _rank_sparse, _rref
+from quivhom.linalg import EXACT, FLOAT, _integer_dicts, _integer_rows, _rank_sparse
 from conftest import random_acyclic_weighted_quiver
 
 
@@ -170,16 +170,72 @@ def _dependent_matrix(rng, rows, cols, density, extreme):
     return DenseMatrix(rows, cols, tuple(x * c for r, c in zip(data, scales) for x in r), EXACT)
 
 
-def test_sparse_rank_matches_rref_pivot_count(rng):
+def _rref(m: DenseMatrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals by dense Gauss-Jordan;
+    returns (rows, pivot cols). The reference that shares no code with the
+    library's sparse eliminations."""
+    a = [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        piv = -1
+        for i in range(r, m.rows):
+            if a[i][c] != 0:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pval = a[r][c]
+        a[r] = [x / pval for x in a[r]]
+        prow = a[r]
+        for i in range(m.rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return a[: len(pivots)], pivots
+
+
+def _rref_kernel_basis(m: DenseMatrix) -> list[tuple[Fraction, ...]]:
+    """The kernel basis read off the reduced echelon form: per free column,
+    1 there and minus the reduced entries of that column at the pivots."""
+    reduced, pivots = _rref(m)
+    basis = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        vec = [Fraction(0)] * m.cols
+        vec[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _dependent_shapes(rng):
     # shapes on both sides of min(rows, cols) = 48, where exact rank used to
-    # switch from a second (Bareiss) engine to this one
-    shapes = (
+    # switch from a second (Bareiss) engine to the sparse one; then no rows
+    return (
         [(rng.randint(1, 9), rng.randint(1, 9), 0.5, 0.2) for _ in range(150)]
         + [(rng.randint(49, 64), rng.randint(49, 64), 0.06, 0.0) for _ in range(3)]
         + [(rng.randint(1, 9), rng.randint(49, 70), 0.3, 0.05) for _ in range(10)]
         + [(0, rng.randint(1, 70), 0.5, 0.0) for _ in range(3)]
     )
-    for rows, cols, density, extreme in shapes:
+
+
+def test_kernel_basis_matches_rref(rng):
+    for rows, cols, density, extreme in _dependent_shapes(rng):
+        m = _dependent_matrix(rng, rows, cols, density, extreme)
+        for x in (m, m.transpose()):
+            basis = x.kernel_basis()
+            assert basis == _rref_kernel_basis(x)
+            assert all(type(v) is Fraction for vec in basis for v in vec)
+
+
+def test_sparse_rank_matches_rref_pivot_count(rng):
+    for rows, cols, density, extreme in _dependent_shapes(rng):
         m = _dependent_matrix(rng, rows, cols, density, extreme)
         for x in (m, m.transpose()):
             expected = len(_rref(x)[1])
