@@ -74,6 +74,24 @@ def random_multigraph(rng: random.Random, max_vertices: int = 12) -> WeightedQui
     return WeightedQuiver(Quiver(n, arrows), weights)
 
 
+def planted_potential_digraph(
+    rng: random.Random, n: int, m: int, share: float
+) -> WeightedQuiver:
+    """Random digraph on n vertices with m arcs and no self-loops. A share
+    of the arcs s -> t weigh y_s / y_t for random vertex potentials y, so
+    many cycles are balanced; the rest take a random weight."""
+    potential = [random_nonzero_fraction(rng, 9) for _ in range(n)]
+    arrows, weights = [], []
+    while len(arrows) < m:
+        s, t = rng.randrange(n), rng.randrange(n)
+        if s == t:
+            continue
+        arrows.append((s, t))
+        weights.append(potential[s] / potential[t] if rng.random() < share
+                       else random_nonzero_fraction(rng, 9))
+    return WeightedQuiver(Quiver(n, arrows), weights)
+
+
 def weak_component_count(q: Quiver) -> int:
     """Union-find over arrows with orientation ignored."""
     parent = list(range(q.vertex_count))

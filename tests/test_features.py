@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import threading
 from fractions import Fraction
@@ -19,9 +20,11 @@ from quivhom import (
     k_hop_vertices,
 )
 from quivhom.fas import berger_shor_arcs
+from quivhom.ingest import feature_matrix_csv
 from quivhom.quiver import induced_arcs
 from conftest import (
     EXTREME_WEIGHTS,
+    planted_potential_digraph,
     random_acyclic_weighted_quiver,
     random_digraph,
     random_multigraph,
@@ -252,6 +255,20 @@ def test_count_rule_matches_the_union_find_reference(fas_calls):
             feature_vector(wq, v, 4, seed=v)
             assert fas_calls == expected
     assert len(outcomes) == 4, outcomes
+
+
+# SHA-256 of the feature CSV of a planted-potential digraph (N = 200,
+# M = 600, 3 arcs in 4 weighing y_s / y_t), H = 3, seed 7. About a third
+# of its cells are nonzero, and many of them only because their cycles
+# are balanced, so a change to how gains are read moves this digest.
+PLANTED_CSV_SHA256 = "68395176b8385b655faa51ead742942e9377194c6b6a50b31efa31f4d1538b8a"
+
+
+def test_planted_potential_feature_digest():
+    wq = planted_potential_digraph(random.Random(15), 200, 600, 0.75)
+    fm = feature_matrix(wq, 3, seed=7)
+    csv = feature_matrix_csv(fm, [f"v{i}" for i in range(200)])
+    assert hashlib.sha256(csv.encode()).hexdigest() == PLANTED_CSV_SHA256
 
 
 def test_threads_must_be_positive():
