@@ -30,7 +30,6 @@ from .features import feature_matrix
 from .homology import (
     build_chain_complex,
     dim_h1,
-    h1_kernel_basis,
     homology_dims,
     scalar_representation,
 )
@@ -44,7 +43,7 @@ from .ingest import (
     render_feature_matrix,
     to_dot,
 )
-from .linalg import EXACT, FLOAT
+from .linalg import _F0, EXACT, FLOAT, _kernel_sparse
 from .quiver import WeightedQuiver, _chain_counts, is_acyclic, find_cycle
 
 EXIT_OK = 0
@@ -112,11 +111,15 @@ def cmd_homology(args) -> int:
     rep = scalar_representation(mode)
     if args.dot is not None:
         _write_text(args.dot, to_dot(wq, ids))
-    h1 = dim_h1(wq, rep, tol)
+    # one l = 1 complex serves the float H1, the matrix and the kernel basis
+    cc = None
+    if mode == FLOAT or args.matrix or args.kernel_basis:
+        cc = build_chain_complex(wq, rep, 2, 1)
+    h1 = homology_dims(cc, tol)[1] if mode == FLOAT else dim_h1(wq, rep, tol)
     print(f"dim H1 = {h1}")
     if args.matrix:
         # one dense row at a time from the sparse columns: the matrix is N x M
-        cols = build_chain_complex(wq, rep, 1, 1).columns[1]
+        cols = cc.columns[1]
         rows: list[list] = [[] for _ in range(wq.vertex_count)]
         for c, col in enumerate(cols):
             for r, x in col.items():
@@ -128,8 +131,9 @@ def cmd_homology(args) -> int:
                 line[c] = str(x)
             print(" ".join(line))
     if args.kernel_basis:
-        for vec in h1_kernel_basis(wq, rep):
-            print("kernel: (" + ", ".join(str(x) for x in vec) + ")")
+        # nearly every entry is the shared zero, printed without str()
+        for vec in _kernel_sparse(cc.columns[1]):
+            print("kernel: (" + ", ".join(["0" if x is _F0 else str(x) for x in vec]) + ")")
     return EXIT_OK
 
 

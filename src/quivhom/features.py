@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from .fas import berger_shor_arcs
 from .homology import gain_graph_h1
-from .quiver import induced_arcs, k_hop_levels
+from .quiver import hood_sizes, induced_arcs
 
 if TYPE_CHECKING:
     from .quiver import WeightedQuiver
@@ -61,30 +61,28 @@ def feature_vector(
     """dim H1 of the k-hop DAG around v, for k = 1..hops.
 
     Cell k is ``dim_h1(berger_shor(induced_subquiver(wq, hood).wq,
-    derive_seed(seed, v, k)).kept)``, computed by the cores those
-    functions wrap on plain arc lists, with the weights as gains. A hood
-    is weakly connected, so when it has fewer non-loop arcs than vertices
-    they form a tree, which gives 0 whatever the FAS keeps; such a hood
-    skips the FAS and the gains.
+    derive_seed(seed, v, k)).kept)``, computed on plain arc lists. A hood
+    is weakly connected (each vertex but v keeps its BFS parent's arc), so
+    one that ``hood_sizes`` finds to have fewer non-loop arcs than
+    vertices is a tree: its cell is 0 whatever the FAS keeps, and no arc
+    list is built.
     """
     if hops < 1:
         raise ValueError("hops must be positive")
     q = wq.quiver
     arrows, weights = q.arrows, wq.weights
+    dist, sizes = hood_sizes(q, v, hops)
     out: list[int] = []
-    for k, hood in enumerate(k_hop_levels(q, v, hops), start=1):
-        verts, ids = induced_arcs(q, hood)
-        local = {u: i for i, u in enumerate(verts)}
-        arcs = [(local[arrows[a][0]], local[arrows[a][1]]) for a in ids]
-        # every hood vertex but v keeps the arc from its BFS parent, so the
-        # hood is weakly connected, and a connected multigraph closes a
-        # cycle iff it has at least as many non-loop arcs as vertices
-        if sum(s != t for s, t in arcs) < len(verts):
+    for k, (n, m) in enumerate(sizes, start=1):
+        if m < n:
             out.append(0)
             continue
-        kept, _ = berger_shor_arcs(len(verts), arcs, derive_seed(seed, v, k))
+        verts, ids = induced_arcs(q, list(dist)[:n])
+        local = {u: i for i, u in enumerate(verts)}
+        arcs = [(local[arrows[a][0]], local[arrows[a][1]]) for a in ids]
+        kept, _ = berger_shor_arcs(n, arcs, derive_seed(seed, v, k))
         out.append(gain_graph_h1(
-            len(verts), [arcs[i] for i in kept], [weights[ids[i]] for i in kept]
+            n, [arcs[i] for i in kept], [weights[ids[i]] for i in kept]
         ))
     return tuple(out)
 

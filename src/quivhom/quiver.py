@@ -63,6 +63,14 @@ class Quiver:
             out[s].append(i)
         return tuple(tuple(a) for a in out)
 
+    @cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """The targets of each vertex's ``out_arrows``, in that order."""
+        out: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for s, t in self.arrows:
+            out[s].append(t)
+        return tuple(tuple(t) for t in out)
+
 
 @dataclass(frozen=True)
 class WeightedQuiver:
@@ -192,8 +200,7 @@ def topological_order(q: Quiver) -> list[int] | None:
     while frontier:
         v = heapq.heappop(frontier)
         order.append(v)
-        for a in q.out_arrows[v]:
-            t = q.target(a)
+        for t in q.successors[v]:
             indeg[t] -= 1
             if indeg[t] == 0:
                 heapq.heappush(frontier, t)
@@ -239,13 +246,12 @@ def find_cycle(q: Quiver) -> list[int] | None:
     for root in range(q.vertex_count):
         if color[root] != WHITE:
             continue
-        stack: list[tuple[int, Iterator[int]]] = [(root, iter(q.out_arrows[root]))]
+        stack: list[tuple[int, Iterator[int]]] = [(root, iter(q.successors[root]))]
         color[root] = GRAY
         while stack:
             v, it = stack[-1]
             advanced = False
-            for a in it:
-                w = q.target(a)
+            for w in it:
                 if color[w] == GRAY:
                     cycle = [w]
                     u = v
@@ -258,7 +264,7 @@ def find_cycle(q: Quiver) -> list[int] | None:
                 if color[w] == WHITE:
                     color[w] = GRAY
                     parent[w] = v
-                    stack.append((w, iter(q.out_arrows[w])))
+                    stack.append((w, iter(q.successors[w])))
                     advanced = True
                     break
             if not advanced:
@@ -374,8 +380,8 @@ def _chain_counts(q: Quiver, n: int, ell: int | None = None) -> list[int]:
         rows = [base] * lag
         for b in range(lag, top + 1):
             row = base[:]
-            for a in q.out_arrows[v]:
-                r = table[q.arrows[a][1]][b - lag]
+            for t in q.successors[v]:
+                r = table[t][b - lag]
                 for k in range(1, m + 1):
                     row[k] += r[k - 1] + r[k]
             rows.append(row)
@@ -393,31 +399,56 @@ def count_nchains(
     return count if cap is None else min(count, cap + 1)
 
 
-def k_hop_levels(q: Quiver, v: int, k: int) -> list[set[int]]:
-    """The k-hop out-neighbourhoods of v for hops 1..k, from one BFS.
-
-    Entry i is the set of vertices reachable from v by a directed path of
-    length <= i + 1, v included, so the sets are nested; each is its own
-    set object. The cost is linear in the vertices and arrows reached.
+def hood_sizes(q: Quiver, v: int, k: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
+    """One BFS from v to depth k: the distance of each vertex it reaches,
+    in BFS order, and for i = 1..k the vertex and non-loop arrow counts of
+    hood i, the vertices within i hops, which are the first keys of the
+    distance map. Hood i holds the non-loop arrows leaving distances below
+    i and those from distance i into it; the scan that finds level i + 1
+    counts the latter, so each out-list is read once.
     """
     if not (0 <= v < q.vertex_count):
         raise ValueError(f"vertex {v} out of range")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    seen = {v}
-    frontier = [v]
-    levels: list[set[int]] = []
-    for _ in range(k):
+    succ = q.successors
+    dist = {v: 0}
+    level = [v]
+    inner = 0  # non-loop arrows leaving the vertices closer than level i
+    sizes: list[tuple[int, int]] = []
+    for i in range(k + 1):
         nxt: list[int] = []
-        for u in frontier:
-            for a in q.out_arrows[u]:
-                t = q.arrows[a][1]
-                if t not in seen:
-                    seen.add(t)
+        leaving = closing = 0
+        for u in level:
+            ts = succ[u]
+            leaving += len(ts)
+            for t in ts:
+                if t in dist:
+                    if dist[t] <= i:
+                        if t == u:
+                            leaving -= 1
+                        else:
+                            closing += 1
+                elif i < k:
+                    dist[t] = i + 1
                     nxt.append(t)
-        frontier = nxt
-        levels.append(set(seen))
-    return levels
+        if i:
+            sizes.append((len(dist) - len(nxt), inner + closing))
+        inner += leaving
+        level = nxt
+    return dist, sizes
+
+
+def k_hop_levels(q: Quiver, v: int, k: int) -> list[set[int]]:
+    """The k-hop out-neighbourhoods of v for hops 1..k, from hood_sizes.
+
+    Entry i is the set of vertices reachable from v by a directed path of
+    length <= i + 1, v included, so the sets are nested; each is its own
+    set object.
+    """
+    dist, sizes = hood_sizes(q, v, k)
+    order = list(dist)
+    return [set(order[:n]) for n, _ in sizes]
 
 
 def k_hop_vertices(q: Quiver, v: int, k: int) -> set[int]:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quivhom import homology, load_weighted_edges, quiver
+from quivhom import cli, homology, load_weighted_edges, quiver
 from quivhom.cli import main
 
 TRIANGLE_COMMUTING = "x0,x1,2\nx1,x2,3\nx0,x2,6\n"
@@ -52,6 +52,27 @@ def test_homology_kernel_and_matrix_flags(edges_file, capsys):
     out = capsys.readouterr().out
     assert "kernel: (-1, -2, 1)" in out
     assert "-1 0 -1" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--field", "float", "--matrix"],
+    ["--matrix", "--kernel-basis"],
+])
+def test_homology_builds_the_complex_once(edges_file, capsys, monkeypatch, flags):
+    calls = []
+    real = homology.build_chain_complex
+
+    def counting(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(homology, "build_chain_complex", counting)
+    monkeypatch.setattr(cli, "build_chain_complex", counting)
+    path = edges_file(TRIANGLE_COMMUTING + "x2,x3,5\nx0,x3,7\n")
+    assert main(["homology", path, *flags]) == 0
+    assert calls == [(2, 1)]
+    out = capsys.readouterr().out
+    assert "dim H1 = 1" in out and "-1 0 -1" in out.replace(".0", "")
 
 
 def test_homology_dot_output(edges_file, tmp_path):

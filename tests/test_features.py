@@ -21,13 +21,14 @@ from quivhom import (
 )
 from quivhom.fas import berger_shor_arcs
 from quivhom.ingest import feature_matrix_csv
-from quivhom.quiver import induced_arcs
+from quivhom.quiver import hood_sizes, induced_arcs
 from conftest import (
     EXTREME_WEIGHTS,
     planted_potential_digraph,
     random_acyclic_weighted_quiver,
     random_digraph,
     random_multigraph,
+    random_nonzero_fraction,
     weak_component_count,
 )
 
@@ -269,6 +270,76 @@ def test_planted_potential_feature_digest():
     fm = feature_matrix(wq, 3, seed=7)
     csv = feature_matrix_csv(fm, [f"v{i}" for i in range(200)])
     assert hashlib.sha256(csv.encode()).hexdigest() == PLANTED_CSV_SHA256
+
+
+def edge_case_multigraph(rng: random.Random) -> tuple[WeightedQuiver, int]:
+    """A seeded multigraph and a vertex v whose hoods hold a self-loop at
+    v, parallel arcs, arcs back to v and an arc joining two vertices at
+    distance 3, on top of a BFS tree of depth 3 and some random arcs."""
+    n = rng.randint(7, 14)
+    labels = rng.sample(range(n), n)
+    v = labels[0]
+    # levels 1 and 2 are nonempty and level 3 holds at least two vertices
+    cuts = sorted(rng.sample(range(2, n - 1), 2))
+    levels = [[v], labels[1:cuts[0]], labels[cuts[0]:cuts[1]], labels[cuts[1]:]]
+    arrows = [(rng.choice(levels[i - 1]), u) for i in (1, 2, 3) for u in levels[i]]
+    arrows.append(tuple(rng.sample(levels[3], 2)))
+    arrows += [(v, v), rng.choice(arrows), (rng.choice(labels), v)]
+    arrows += [(rng.choice(labels), rng.choice(labels)) for _ in range(rng.randint(0, 2))]
+    # drop some of the planted extras, so that trees stay common
+    tree = n - 1
+    extras = arrows[tree:]
+    arrows = arrows[:tree] + [a for a in extras if rng.random() < 0.5]
+    rng.shuffle(arrows)
+    weights = [random_nonzero_fraction(rng) for _ in arrows]
+    return WeightedQuiver(Quiver(n, arrows), weights), v
+
+
+def reference_hood(q: Quiver, v: int, k: int) -> set[int]:
+    """The vertices within k hops of v, by k rounds of expansion."""
+    hood = {v}
+    for _ in range(k):
+        hood |= {t for s, t in q.arrows if s in hood}
+    return hood
+
+
+def test_hood_counts_on_loops_parallel_and_closing_arcs(monkeypatch, fas_calls):
+    seen = []
+
+    def recording(q, vs):
+        seen.append(sorted(vs))
+        return induced_arcs(q, vs)
+
+    monkeypatch.setattr("quivhom.features.induced_arcs", recording)
+
+    rng = random.Random(0xED6E)
+    outcomes = set()
+    for _ in range(150):
+        wq, planted = edge_case_multigraph(rng)
+        q = wq.quiver
+        for v in range(q.vertex_count):
+            hoods = [reference_hood(q, v, k) for k in range(5)]
+            dist, sizes = hood_sizes(q, v, 4)
+            assert dist == {u: min(k for k in range(5) if u in hoods[k]) for u in hoods[4]}
+            cyclic = []
+            for hood, size in zip(hoods[1:], sizes):
+                verts, ids = induced_arcs(q, hood)
+                m = sum(q.arrows[a][0] != q.arrows[a][1] for a in ids)
+                assert size == (len(verts), m)
+                outcomes.add((v == planted, m >= len(verts)))
+                if m >= len(verts):
+                    cyclic.append(verts)
+            seen.clear()
+            fas_calls.clear()
+            row = feature_vector(wq, v, 4, seed=v)
+            # only the hoods that close a cycle build an arc list and run the FAS
+            assert seen == cyclic
+            assert fas_calls == [len(verts) for verts in cyclic]
+            assert row == tuple(dim_h1(kept_hood(wq, v, k, v)) for k in range(1, 5))
+    assert len(outcomes) == 4, outcomes
+    for bad in (-1, q.vertex_count):
+        with pytest.raises(ValueError, match="out of range"):
+            feature_vector(wq, bad, 2, seed=0)
 
 
 def test_threads_must_be_positive():
