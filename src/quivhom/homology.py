@@ -21,9 +21,12 @@ Every matrix here (boundaries and chain maps) is assembled by one helper
 that expands each cell's faces into sparse scalar columns {row: coeff},
 whatever the coefficient dimension. The chain complex keeps its
 boundaries as those columns: boundary-of-boundary == 0 is checked on
-them, homology_dims ranks them and h1_kernel_basis eliminates them. A
-DenseMatrix is built only by ``ChainComplexSlice.boundaries`` (which
-boundary1_matrix and the tests read) and by chain maps.
+them, homology_dims ranks them and h1_kernel_basis eliminates them. In
+exact mode both the check and the rank turn each column into its integer
+form (a primitive int vector and a rational scale, linalg._integer_form),
+so neither does Fraction arithmetic. A DenseMatrix is built only by
+``ChainComplexSlice.boundaries`` (which boundary1_matrix and the tests
+read) and by chain maps.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -39,7 +43,15 @@ from .errors import (
     MorphismError,
     WeightError,
 )
-from .linalg import EXACT, FLOAT, DenseMatrix, _integer_dicts, _kernel_sparse, _rank_sparse
+from .linalg import (
+    EXACT,
+    FLOAT,
+    DenseMatrix,
+    _integer_dicts,
+    _integer_form,
+    _kernel_sparse,
+    _rank_sparse,
+)
 from .quiver import (
     NChain,
     Path,
@@ -113,7 +125,7 @@ def _scalar_columns(
     DenseMatrix of coefficients or None for the d x d identity (h = d).
     Coordinate c of cell j is column j * d + c; coordinate r of row block
     i is row i * h + r. Identity coefficients are the ints +1 and -1 in
-    exact mode (1.0 and -1.0 in float mode), so later arithmetic can skip
+    exact mode (1.0 and -1.0 in float mode), so no Fraction is built for
     them; _densify turns them back into Fractions. Entries that cancel to
     zero are dropped.
     """
@@ -277,7 +289,10 @@ class ChainComplexSlice:
     face drops the final morphism.
     ``columns[n]`` holds boundary n (degree n to degree n-1; index 0 is
     empty) as sparse scalar columns {row: coeff}, one per chain x
-    coordinate, which homology_dims ranks directly.
+    coordinate, which homology_dims ranks directly. Exact coefficients
+    are Fractions, except identity coefficients, which are the ints +1
+    and -1; the integer forms that the boundary-squared check and the
+    rank use are derived from the columns and not kept.
     ``boundaries[n]`` is the same map as a DenseMatrix (index 0 is None),
     densified on first access and cached.
     """
@@ -317,9 +332,10 @@ def build_chain_complex(
 ) -> ChainComplexSlice:
     """Enumerate chain bases up to degree n_max and assemble every boundary
     as sparse scalar columns; boundary-of-boundary == 0 is verified on
-    those columns. No dense matrix is built here: ``boundaries`` densifies
-    on first access. Chains are tuples of path positions, so faces are
-    slices; NChains are built only when ``bases`` is read."""
+    those columns, in integers when exact. No dense matrix is built here:
+    ``boundaries`` densifies on first access. Chains are tuples of path
+    positions, so faces are slices; NChains are built only when ``bases``
+    is read."""
     rep = rep or scalar_representation()
     _require_acyclic(wq.quiver, "weighted quiver homology")
     if n_max < 1:
@@ -330,9 +346,14 @@ def build_chain_complex(
     ids = [list(range(q.vertex_count)), *_chain_levels(paths, n_max, ell)]
     position = {p.arrows: i for i, p in enumerate(paths)}
     composite: dict[tuple[int, int], int] = {}
+    weights: list[Fraction] = []  # each path's weight: w(prefix) * w(last arrow)
     acts = []  # the action of each path's weight
     for p in paths:
-        w = path_weight(wq, p)
+        a = p.arrows
+        w = wq.weights[a[-1]]
+        if len(a) > 1:  # a prefix comes before its extensions in paths
+            w = weights[position[a[:-1]]] * w
+        weights.append(w)
         if w not in actions:
             actions[w] = rep.action(w)
         acts.append(actions[w])
@@ -379,45 +400,71 @@ def build_chain_complex(
 def _verify_square_zero(sparse: list[list[dict]], d: int, mode: str) -> None:
     """Check boundary(n-1) @ boundary(n) == 0 on the scalar columns.
 
-    A factor that is the int +1 or -1 (an identity coefficient) is added
-    or subtracted; only the other products are multiplied. Exact mode
-    demands literal zeros. Float mode allows rounding noise
-    (float(a)*float(b) need not equal float(a*b)): each residue may be up
-    to 1e-9 times the sum of the |products| summed into its row, while a
-    broken face map leaves one as large as its terms. The error names the
-    degree and the chain whose column fails."""
+    Exact mode works on integers only (_exact_square_nonzero) and demands
+    literal zeros. Float mode allows rounding noise (float(a)*float(b)
+    need not equal float(a*b)): each residue may be up to 1e-9 times the
+    sum of the |products| summed into its row, while a broken face map
+    leaves one as large as its terms. The error names the degree and the
+    chain whose column fails."""
+    bad = _float_square_nonzero(sparse) if mode == FLOAT else _exact_square_nonzero(sparse)
+    if bad is not None:
+        n, j = bad
+        raise InvariantError(f"boundary squared nonzero at degree {n}, column {j // d}")
+
+
+def _exact_square_nonzero(sparse: list[list[dict]]) -> tuple[int, int] | None:
+    """The first (degree n, column j) with boundary(n-1) applied to column
+    j of boundary(n) nonzero, or None, with no Fraction arithmetic.
+
+    Every exact column is (g / m) * p for its integer form (p, g, m) from
+    _integer_form. With column j of boundary n equal to (g_j / m_j) * p_j
+    and M the lcm of the m_i over the support of p_j, boundary(n-1) maps
+    it to zero exactly when the sum over i of p_j[i] * g_i * (M / m_i) * p_i
+    is zero, a sum of ints. The scale is per column, so the integers stay
+    as small as the columns' own. Integer forms are held for two degrees
+    at a time: all of degree n - 1 and the part of degree n built so far
+    (none for the top degree, whose forms nothing reads)."""
+    if len(sparse) < 3:
+        return None
+    below = [_integer_form(col) for col in sparse[1]]
+    for n in range(2, len(sparse)):
+        keep = n + 1 < len(sparse)
+        forms = []
+        for j, col in enumerate(sparse[n]):
+            form = _integer_form(col)
+            p = form[0]
+            big = lcm(*(below[i][2] for i in p))
+            acc: dict[int, int] = {}
+            for i, x in p.items():
+                q, g, m = below[i]
+                f = x * g * (big // m)
+                for r, y in q.items():
+                    acc[r] = acc[r] + f * y if r in acc else f * y
+            if any(acc.values()):
+                return n, j
+            if keep:
+                forms.append(form)
+        below = forms
+    return None
+
+
+def _float_square_nonzero(sparse: list[list[dict]]) -> tuple[int, int] | None:
+    """The first (degree n, column j) whose float residue under
+    boundary(n-1) exceeds 1e-9 times the sum of the |products| summed
+    into its row, or None."""
     for n in range(2, len(sparse)):
         below = sparse[n - 1]
         for j, col in enumerate(sparse[n]):
             acc: dict = {}
+            scale: dict = {}
             for i, x in col.items():
-                terms = below[i].items()
-                if type(x) is int and x == 1:
-                    for g, y in terms:
-                        acc[g] = acc[g] + y if g in acc else y
-                elif type(x) is int and x == -1:
-                    for g, y in terms:
-                        acc[g] = acc[g] - y if g in acc else -y
-                else:
-                    for g, y in terms:
-                        if type(y) is int and (y == 1 or y == -1):
-                            y = x if y == 1 else -x
-                        else:
-                            y = x * y
-                        acc[g] = acc[g] + y if g in acc else y
-            if mode == FLOAT:
-                # rounding leaves a residue relative to the terms summed
-                scale: dict = {}
-                for i, x in col.items():
-                    for g, y in below[i].items():
-                        scale[g] = scale.get(g, 0.0) + abs(x * y)
-                ok = all(abs(v) <= 1e-9 * scale[g] for g, v in acc.items())
-            else:
-                ok = not any(acc.values())
-            if not ok:
-                raise InvariantError(
-                    f"boundary squared nonzero at degree {n}, column {j // d}"
-                )
+                for g, y in below[i].items():
+                    y = x * y
+                    acc[g] = acc[g] + y if g in acc else y
+                    scale[g] = scale.get(g, 0.0) + abs(y)
+            if not all(abs(v) <= 1e-9 * scale[g] for g, v in acc.items()):
+                return n, j
+    return None
 
 
 def homology_dims(c: ChainComplexSlice, tol: float = 1e-9) -> list[int]:

@@ -167,21 +167,26 @@ def _integer_dicts(vectors: Iterable[dict]) -> list[dict[int, int]]:
     """Sparse rational vectors {index: value} (Fraction or int values, no
     zeros) as new sparse {index: int} dicts, empty ones skipped.
 
-    Each vector has its denominators cleared and is divided by the gcd of
-    its entries (scaling preserves rank), which keeps the elimination's
-    integers small. The inputs are not modified.
+    Each vector is replaced by its primitive form from _integer_form
+    (scaling preserves rank), which keeps the elimination's integers
+    small. The inputs are not modified.
     """
-    out: list[dict[int, int]] = []
-    for nz in vectors:
-        if not nz:
-            continue
-        mult = lcm(*(x.denominator for x in nz.values()))
-        d = {j: x.numerator * (mult // x.denominator) for j, x in nz.items()}
-        g = gcd(*d.values())
-        if g > 1:
-            d = {j: x // g for j, x in d.items()}
-        out.append(d)
-    return out
+    return [_integer_form(nz)[0] for nz in vectors if nz]
+
+
+def _integer_form(nz: dict) -> tuple[dict[int, int], int, int]:
+    """A sparse rational vector {index: value} (Fraction or int values, no
+    zeros) as (p, g, m) with nz == (g / m) * p: m is the lcm of the
+    denominators, g the gcd of the cleared numerators, so g / m is in
+    lowest terms and p is a new primitive {index: int} dict. The empty
+    vector gives ({}, 0, 1). No Fraction arithmetic is done.
+    """
+    m = lcm(*(x.denominator for x in nz.values()))
+    p = {j: x.numerator * (m // x.denominator) for j, x in nz.items()}
+    g = gcd(*p.values())
+    if g > 1:
+        p = {j: x // g for j, x in p.items()}
+    return p, g, m
 
 
 def _rank_sparse(sparse: list[dict], tol: float | None = None) -> int:

@@ -453,10 +453,9 @@ def k_hop_levels(q: Quiver, v: int, k: int) -> list[set[int]]:
 
 def k_hop_vertices(q: Quiver, v: int, k: int) -> set[int]:
     """Vertices reachable from v by a directed path of length <= k,
-    including v itself."""
+    including v itself: the keys of one hood_sizes distance map."""
     # shortest paths have at most N - 1 arrows, so larger k adds nothing
-    levels = k_hop_levels(q, v, min(k, q.vertex_count))
-    return levels[-1] if levels else {v}
+    return set(hood_sizes(q, v, min(k, q.vertex_count))[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -73,6 +76,60 @@ def test_homology_builds_the_complex_once(edges_file, capsys, monkeypatch, flags
     assert calls == [(2, 1)]
     out = capsys.readouterr().out
     assert "dim H1 = 1" in out and "-1 0 -1" in out.replace(".0", "")
+
+
+def test_main_builds_its_parser_once(edges_file, capsys, monkeypatch):
+    # a valid oracle, an argparse error, then a valid features run print
+    # what they print with a fresh parser each
+    edges = edges_file(TRIANGLE_COMMUTING)
+    argvs = [["oracle", edges, "--n-max", "3"],
+             ["oracle", edges, "--n-max", "two"],
+             ["features", edges, "-H", "2"]]
+
+    def run(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run(argv))
+    assert [rc for rc, _, _ in fresh] == [0, 2, 0]
+    assert "invalid int value" in fresh[1][2]
+
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [run(argv) for argv in argvs] == fresh
+    assert len(built) == 1
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import quivhom.cli\n"
+            "print(len(built), quivhom.cli._parser)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "0 None\n"
 
 
 def test_homology_dot_output(edges_file, tmp_path):

@@ -31,7 +31,7 @@ from quivhom.homology import Representation, path_weight
 from quivhom.cli import main
 from quivhom.linalg import EXACT, FLOAT
 from quivhom.quiver import make_path
-from conftest import random_acyclic_weighted_quiver, weak_component_count
+from conftest import EXTREME_WEIGHTS, random_acyclic_weighted_quiver, weak_component_count
 
 
 def triangle(w1, w2, w3) -> WeightedQuiver:
@@ -192,10 +192,118 @@ def test_boundary_squared_is_zero():
 def test_nonmultiplicative_action_fails_square_zero_check(rep):
     # act(w) = [[w + 1]] breaks act(w1 * w2) == act(w2) @ act(w1), which
     # the d0 face of a composable pair relies on; so does any action
-    # with w + 1 on its diagonal
+    # with w + 1 on its diagonal. The pair (a, b) leaves
+    # (w_a + 1)(w_b + 1) - (w_a w_b + 1) = w_a + w_b, so on the 4-vertex
+    # path the first pair (2, -2) passes and the second (2, -2 * 5) fails
     wq = WeightedQuiver(Quiver(3, [(0, 1), (1, 2)]), [2, 3])
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="at degree 2, column 0$"):
         build_chain_complex(wq, rep, n_max=2)
+    wq = WeightedQuiver(Quiver(4, [(0, 1), (1, 2), (2, 3)]), [2, -2, 5])
+    with pytest.raises(InvariantError, match="at degree 2, column 1$"):
+        build_chain_complex(wq, rep, n_max=3)
+
+
+def _fraction_square_nonzero(sparse, d):
+    """Reference for the boundary-squared check, in Fraction arithmetic:
+    the first (degree, chain) whose column the boundary below does not
+    send to zero, or None."""
+    for n in range(2, len(sparse)):
+        below = sparse[n - 1]
+        for j, col in enumerate(sparse[n]):
+            acc = {}
+            for i, x in col.items():
+                for r, y in below[i].items():
+                    acc[r] = acc.get(r, 0) + Fraction(x) * y
+            if any(acc.values()):
+                return n, j // d
+    return None
+
+
+def _draw_64_bit(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**63 - 1), rng.randint(1, 2**63 - 1))
+
+
+def _rescaled(cols, rng):
+    """The same complex in a rescaled basis: each scalar chain of degrees
+    1..top-1 is multiplied by a random rational s, so its column is
+    multiplied by s and its row in the boundary above divided by s. The
+    columns then carry scales g/m other than 1/m, and boundary squared
+    stays zero."""
+    out = [list(map(dict, level)) for level in cols]
+    for n in range(1, len(out) - 1):
+        for i, col in enumerate(out[n]):
+            s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 12))
+            out[n][i] = {r: x * s for r, x in col.items()}
+            for above in out[n + 1]:
+                if i in above:
+                    above[i] = above[i] / s
+    return out
+
+
+@pytest.mark.parametrize("weights", ["extreme", "64-bit"])
+def test_integer_square_zero_check_matches_fraction_reference(weights):
+    # both checks pass on every built complex, also in a rescaled basis;
+    # after one entry is doubled, both name the same first failing
+    # degree and chain
+    rng = random.Random(4242)
+    reps = [scalar_representation(),
+            Representation(2, lambda w: DenseMatrix.from_rows([[w, 0], [0, w * w]]))]
+    caught = 0
+    for _ in range(10):
+        shape = random_acyclic_weighted_quiver(rng, max_vertices=6, max_arrows=10)
+        draw = ((lambda: rng.choice(EXTREME_WEIGHTS)) if weights == "extreme"
+                else (lambda: _draw_64_bit(rng)))
+        wq = WeightedQuiver(shape.quiver, [draw() for _ in shape.weights])
+        for rep in reps:
+            for ell in (1, 2, None):
+                built = build_chain_complex(wq, rep, 3, ell).columns
+                for cols in ([list(map(dict, level)) for level in built], _rescaled(built, rng)):
+                    assert _fraction_square_nonzero(cols, rep.dim) is None
+                    homology._verify_square_zero(cols, rep.dim, EXACT)
+                    filled = [(n, j) for n in range(1, 4) for j, col in enumerate(cols[n]) if col]
+                    if not filled:
+                        continue
+                    n, j = rng.choice(filled)
+                    r = rng.choice(sorted(cols[n][j]))
+                    cols[n][j][r] *= 2
+                    want = _fraction_square_nonzero(cols, rep.dim)
+                    if want is None:
+                        homology._verify_square_zero(cols, rep.dim, EXACT)
+                        continue
+                    caught += 1
+                    with pytest.raises(InvariantError,
+                                       match=f"at degree {want[0]}, column {want[1]}$"):
+                        homology._verify_square_zero(cols, rep.dim, EXACT)
+    assert caught >= 10
+
+
+def test_exact_square_zero_check_does_no_fraction_arithmetic(monkeypatch):
+    rng = random.Random(77)
+    complexes = []
+    for rep in (scalar_representation(),
+                Representation(2, lambda w: DenseMatrix.from_rows([[w, 0], [0, w * w]]))):
+        for _ in range(6):
+            shape = random_acyclic_weighted_quiver(rng, max_vertices=6, max_arrows=10)
+            wq = WeightedQuiver(shape.quiver, [rng.choice(EXTREME_WEIGHTS) for _ in shape.weights])
+            complexes.append(([list(level) for level in build_chain_complex(wq, rep, 3).columns],
+                              rep.dim))
+    broken = [list(map(dict, level)) for level in build_chain_complex(triangle(2, 3, 6)).columns]
+    broken[1][2][2] = broken[1][2][2] + 1  # the path 1 -> 2 now acts by 4, not 3
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+                 "__mod__", "__rmod__", "__pow__", "__rpow__", "__neg__", "__pos__",
+                 "__abs__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    with pytest.raises(AssertionError, match="Fraction arithmetic"):
+        Fraction(1, 2) * 3
+    for cols, d in complexes:
+        homology._verify_square_zero(cols, d, EXACT)
+    with pytest.raises(InvariantError, match="at degree 2, column 0$"):
+        homology._verify_square_zero(broken, 1, EXACT)
 
 
 def test_saturated_truncation_equals_full_complex():

@@ -355,6 +355,19 @@ def test_k_hop_levels_match_k_hop_vertices():
         k_hop_levels(PATH3, 0, -1)
 
 
+def test_k_hop_vertices_is_the_last_level():
+    rng = random.Random(61)
+    for _ in range(60):
+        q = random_multigraph(rng).quiver
+        n = q.vertex_count
+        for v in range(n):
+            assert k_hop_vertices(q, v, 0) == {v}
+            for k in (1, 2, 3, 4, 5, n, n + 1, 10**9):
+                assert k_hop_vertices(q, v, k) == k_hop_levels(q, v, min(k, n + 1))[-1]
+    with pytest.raises(ValueError):
+        k_hop_vertices(PATH3, 3, 0)
+
+
 def test_make_path_checks_composability():
     with pytest.raises(ValueError):
         make_path(TRIANGLE, [1, 0])
