@@ -252,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("-H", "--hops", type=int, default=3, help="hop levels (columns)")
     p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; must be positive, and "
-                        "changes neither the output nor the thread count")
+                   help="deprecated and ignored: rows are built serially in "
+                        "one thread; still accepted, and must be positive")
     p.add_argument("--output", "-o", default="-", help="output path, or - for stdout")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_features)

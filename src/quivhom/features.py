@@ -96,8 +96,9 @@ def feature_matrix(
 ) -> FeatureMatrix:
     """Feature vectors for every vertex, built serially row by row.
 
-    ``threads`` is accepted for compatibility and must be positive; it
-    changes neither the output nor the number of threads, which is one.
+    ``threads`` is deprecated and ignored: it is still accepted, and must
+    be positive, but changes neither the output nor the number of
+    threads, which is one.
     """
     if hops < 1:
         raise ValueError("hops must be positive")

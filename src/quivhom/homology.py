@@ -354,9 +354,10 @@ def build_chain_complex(
         if len(a) > 1:  # a prefix comes before its extensions in paths
             w = weights[position[a[:-1]]] * w
         weights.append(w)
-        if w not in actions:
-            actions[w] = rep.action(w)
-        acts.append(actions[w])
+        act = actions.get(w)
+        if act is None:
+            act = actions[w] = rep.action(w)
+        acts.append(act)
 
     def faces(c: tuple[int, ...], row: dict) -> list:
         # d0 is twisted by the action of the first part

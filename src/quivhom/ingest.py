@@ -233,16 +233,22 @@ def load_undirected_pairs(
 
 
 def _atomic_write(path: str | os.PathLike, text: str) -> None:
+    """Write text to path through a temporary file in the same directory
+    that replaces path once complete; nothing is left behind on failure,
+    and an OSError names path, not the temporary file."""
     directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 def _render_edges(wq: WeightedQuiver, ids: Sequence[str]) -> str:

@@ -7,7 +7,6 @@ composable sequence of arrows; identities are never represented as paths.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -185,52 +184,50 @@ def make_nchain(parts: Sequence[Path]) -> NChain:
     return NChain(tuple(parts))
 
 
-def topological_order(q: Quiver) -> list[int] | None:
-    """Kahn's algorithm. Returns a topological order, or None if cyclic.
+def _kahn_order(succ: Sequence[Sequence[int]], indeg: list[int]) -> list[int]:
+    """Kahn's algorithm: the vertices it can remove, in removal order.
 
-    Ties are broken by smallest vertex index so the order is deterministic.
+    The sources come first, ascending; then each vertex joins the end of
+    the list as its last predecessor is removed, so the list grows while it
+    is read. Counts ``indeg`` down in place: afterwards a vertex keeps a
+    positive count iff it was not removed, and the count is then the
+    number of its arcs from vertices that were not removed either.
     """
+    order = [v for v, d in enumerate(indeg) if d == 0]
+    for v in order:
+        for t in succ[v]:
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                order.append(t)
+    return order
+
+
+def _indegrees(q: Quiver) -> list[int]:
     indeg = [0] * q.vertex_count
     for _, t in q.arrows:
         indeg[t] += 1
-    # a heap frontier keeps the order reproducible
-    frontier = [v for v in range(q.vertex_count) if indeg[v] == 0]
-    heapq.heapify(frontier)
-    order: list[int] = []
-    while frontier:
-        v = heapq.heappop(frontier)
-        order.append(v)
-        for t in q.successors[v]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                heapq.heappush(frontier, t)
-    if len(order) != q.vertex_count:
-        return None
-    return order
+    return indeg
+
+
+def topological_order(q: Quiver) -> list[int] | None:
+    """A topological order by Kahn's algorithm, or None if q is cyclic.
+
+    The order is deterministic: the sources ascending, then first in,
+    first out, each vertex queued when its last predecessor is placed.
+    """
+    order = _kahn_order(q.successors, _indegrees(q))
+    return order if len(order) == q.vertex_count else None
 
 
 def arcs_acyclic(n: int, arcs: Sequence[tuple[int, int]]) -> bool:
     """True iff the arcs on vertices 0..n-1 form no directed cycle
-    (self-loops count).
-
-    Kahn's algorithm that only counts the vertices it removes; no order is
-    kept, so any frontier discipline will do.
-    """
+    (self-loops count): Kahn's algorithm removes every vertex."""
     indeg = [0] * n
     succ: list[list[int]] = [[] for _ in range(n)]
     for s, t in arcs:
         indeg[t] += 1
         succ[s].append(t)
-    frontier = [v for v in range(n) if indeg[v] == 0]
-    removed = 0
-    while frontier:
-        v = frontier.pop()
-        removed += 1
-        for t in succ[v]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                frontier.append(t)
-    return removed == n
+    return len(_kahn_order(succ, indeg)) == n
 
 
 def is_acyclic(q: Quiver) -> bool:
@@ -239,38 +236,27 @@ def is_acyclic(q: Quiver) -> bool:
 
 
 def find_cycle(q: Quiver) -> list[int] | None:
-    """A directed cycle as a vertex list v0,...,vk with vk == v0, or None."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * q.vertex_count
-    parent: dict[int, int] = {}
-    for root in range(q.vertex_count):
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[int, Iterator[int]]] = [(root, iter(q.successors[root]))]
-        color[root] = GRAY
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if color[w] == GRAY:
-                    cycle = [w]
-                    u = v
-                    while u != w:
-                        cycle.append(u)
-                        u = parent[u]
-                    cycle.append(w)
-                    cycle.reverse()
-                    return cycle
-                if color[w] == WHITE:
-                    color[w] = GRAY
-                    parent[w] = v
-                    stack.append((w, iter(q.successors[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = BLACK
-                stack.pop()
-    return None
+    """A directed cycle as a vertex list v0,...,vk with vk == v0, or None.
+
+    Every vertex that Kahn's algorithm cannot remove has a predecessor it
+    cannot remove either, so walking back from the smallest of them along
+    one such predecessor each must repeat a vertex; the walk from that
+    vertex back to itself, reversed, is the cycle.
+    """
+    indeg = _indegrees(q)
+    if len(_kahn_order(q.successors, indeg)) == q.vertex_count:
+        return None
+    # a removed vertex has only removed predecessors, so these arcs join
+    # unremoved vertices; the first such arc into each vertex is kept
+    pred = {t: s for s, t in reversed(q.arrows) if indeg[s]}
+    v = next(v for v, d in enumerate(indeg) if d)
+    walk: dict[int, int] = {}  # vertex -> its step on the walk
+    while v not in walk:
+        walk[v] = len(walk)
+        v = pred[v]
+    cycle = [*list(walk)[walk[v]:], v]
+    cycle.reverse()
+    return cycle
 
 
 def _require_acyclic(q: Quiver, what: str) -> None:

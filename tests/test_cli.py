@@ -153,6 +153,29 @@ def test_homology_missing_file_exits_1(capsys):
     assert main(["homology", "/nonexistent/edges.csv"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["features", "edges.csv", "-o", "missing/x.csv"],
+    ["features", "edges.csv", "-o", "outdir"],
+    ["fas", "edges.csv", "--dot", "missing/x.dot"],
+], ids=["features-missing-dir", "features-dir-target", "fas-dot-missing-dir"])
+def test_unwritable_output_names_the_given_path(argv, tmp_path, capsys, monkeypatch):
+    # the output goes through a temporary file; the error must name the
+    # user's path, read the same on every run, and leave nothing behind
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "edges.csv").write_text(TRIANGLE_COMMUTING)
+    (tmp_path / "outdir").mkdir()
+    listing = sorted(tmp_path.rglob("*"))
+    errs = []
+    for _ in range(2):
+        assert main(argv) == 1
+        errs.append(capsys.readouterr().err.encode("utf-8"))
+    assert errs[0] == errs[1]
+    last = errs[0].splitlines()[-1]
+    assert last.startswith(b"error: [Errno ")
+    assert last.endswith(f": {argv[-1]!r}".encode())
+    assert sorted(tmp_path.rglob("*")) == listing
+
+
 def test_homology_zero_weight_exits_2(edges_file, capsys):
     assert main(["homology", edges_file("a,b,0\n")]) == 2
 

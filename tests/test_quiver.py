@@ -24,7 +24,7 @@ from quivhom import (
     make_path,
     topological_order,
 )
-from conftest import random_acyclic_weighted_quiver, random_multigraph
+from conftest import random_acyclic_weighted_quiver, random_digraph, random_multigraph
 
 TRIANGLE = Quiver(3, [(0, 1), (1, 2), (0, 2)])
 SQUARE = Quiver(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
@@ -99,6 +99,35 @@ def test_is_acyclic_agrees_with_topological_order():
         acyclic = is_acyclic(q)
         assert acyclic == (topological_order(q) is not None)
         outcomes.add(acyclic)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("draw", [
+    random_multigraph,
+    lambda rng: random_digraph(rng, max_vertices=20, max_arrows=30, self_loops=True),
+], ids=["multigraph", "digraph"])
+def test_find_cycle_and_topological_order_agree_with_is_acyclic(draw):
+    rng = random.Random(28)
+    outcomes = set()
+    for _ in range(300):
+        q = draw(rng).quiver
+        acyclic = is_acyclic(q)
+        outcomes.add(acyclic)
+        cycle = find_cycle(q)
+        assert (cycle is None) == acyclic
+        if cycle is not None:
+            # a closed walk along arrows of q, no vertex repeated inside it
+            assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+            assert set(zip(cycle, cycle[1:])) <= set(q.arrows)
+            assert len(set(cycle[1:])) == len(cycle) - 1
+        order = topological_order(q)
+        assert topological_order(q) == order
+        if acyclic:
+            assert sorted(order) == list(range(q.vertex_count))
+            place = {v: i for i, v in enumerate(order)}
+            assert all(place[s] < place[t] for s, t in q.arrows)
+        else:
+            assert order is None
     assert outcomes == {True, False}
 
 
