@@ -44,7 +44,7 @@ from .ingest import (
     to_dot,
 )
 from .linalg import _F0, EXACT, FLOAT, _kernel_sparse
-from .quiver import WeightedQuiver, _chain_counts, is_acyclic, find_cycle
+from .quiver import WeightedQuiver, _chain_counts, find_cycle
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -90,11 +90,11 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _dagify(wq: WeightedQuiver, args, ids) -> WeightedQuiver:
-    if is_acyclic(wq.quiver):
+    cycle = find_cycle(wq.quiver)
+    if cycle is None:
         return wq
     if not getattr(args, "dagify", False):
-        cycle = find_cycle(wq.quiver)
-        named = " -> ".join(ids[v] for v in cycle) if cycle else "?"
+        named = " -> ".join(ids[v] for v in cycle)
         raise CyclicQuiverError(
             f"input contains a directed cycle ({named}); rerun with --dagify",
             cycle=cycle,

@@ -70,6 +70,12 @@ class Quiver:
             out[s].append(t)
         return tuple(tuple(t) for t in out)
 
+    @cached_property
+    def _kahn(self) -> tuple[list[int], list[int]]:
+        """The one Kahn pass over the arrows (``_kahn_order``): the removal
+        order and the in-degrees left. Readers never mutate either list."""
+        return _kahn_order(self.vertex_count, self.arrows)
+
 
 @dataclass(frozen=True)
 class WeightedQuiver:
@@ -184,29 +190,28 @@ def make_nchain(parts: Sequence[Path]) -> NChain:
     return NChain(tuple(parts))
 
 
-def _kahn_order(succ: Sequence[Sequence[int]], indeg: list[int]) -> list[int]:
-    """Kahn's algorithm: the vertices it can remove, in removal order.
+def _kahn_order(n: int, arcs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Kahn's algorithm on the arcs over vertices 0..n-1: the vertices it
+    can remove, in removal order, and the in-degrees it leaves.
 
     The sources come first, ascending; then each vertex joins the end of
     the list as its last predecessor is removed, so the list grows while it
-    is read. Counts ``indeg`` down in place: afterwards a vertex keeps a
-    positive count iff it was not removed, and the count is then the
-    number of its arcs from vertices that were not removed either.
+    is read. Afterwards a vertex keeps a positive in-degree iff it was not
+    removed, and the count is then the number of its arcs from vertices
+    that were not removed either.
     """
+    indeg = [0] * n
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for s, t in arcs:
+        indeg[t] += 1
+        succ[s].append(t)
     order = [v for v, d in enumerate(indeg) if d == 0]
     for v in order:
         for t in succ[v]:
             indeg[t] -= 1
             if indeg[t] == 0:
                 order.append(t)
-    return order
-
-
-def _indegrees(q: Quiver) -> list[int]:
-    indeg = [0] * q.vertex_count
-    for _, t in q.arrows:
-        indeg[t] += 1
-    return indeg
+    return order, indeg
 
 
 def topological_order(q: Quiver) -> list[int] | None:
@@ -214,37 +219,36 @@ def topological_order(q: Quiver) -> list[int] | None:
 
     The order is deterministic: the sources ascending, then first in,
     first out, each vertex queued when its last predecessor is placed.
+    It is read from the quiver's one cached Kahn pass, which also answers
+    ``is_acyclic`` and ``find_cycle``; each call returns a new list.
     """
-    order = _kahn_order(q.successors, _indegrees(q))
-    return order if len(order) == q.vertex_count else None
+    order = q._kahn[0]
+    return order[:] if len(order) == q.vertex_count else None
 
 
 def arcs_acyclic(n: int, arcs: Sequence[tuple[int, int]]) -> bool:
     """True iff the arcs on vertices 0..n-1 form no directed cycle
     (self-loops count): Kahn's algorithm removes every vertex."""
-    indeg = [0] * n
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for s, t in arcs:
-        indeg[t] += 1
-        succ[s].append(t)
-    return len(_kahn_order(succ, indeg)) == n
+    return len(_kahn_order(n, arcs)[0]) == n
 
 
 def is_acyclic(q: Quiver) -> bool:
     """True iff the quiver has no directed cycle (self-loops count)."""
-    return arcs_acyclic(q.vertex_count, q.arrows)
+    return len(q._kahn[0]) == q.vertex_count
 
 
 def find_cycle(q: Quiver) -> list[int] | None:
     """A directed cycle as a vertex list v0,...,vk with vk == v0, or None.
 
-    Every vertex that Kahn's algorithm cannot remove has a predecessor it
-    cannot remove either, so walking back from the smallest of them along
-    one such predecessor each must repeat a vertex; the walk from that
-    vertex back to itself, reversed, is the cycle.
+    Reads the quiver's one cached Kahn pass, so asking after ``is_acyclic``
+    or ``topological_order`` repeats no pass. Every vertex that Kahn's
+    algorithm cannot remove has a predecessor it cannot remove either, so
+    walking back from the smallest of them along one such predecessor each
+    must repeat a vertex; the walk from that vertex back to itself,
+    reversed, is the cycle. Each call returns a new list.
     """
-    indeg = _indegrees(q)
-    if len(_kahn_order(q.successors, indeg)) == q.vertex_count:
+    order, indeg = q._kahn
+    if len(order) == q.vertex_count:
         return None
     # a removed vertex has only removed predecessors, so these arcs join
     # unremoved vertices; the first such arc into each vertex is kept
@@ -260,9 +264,9 @@ def find_cycle(q: Quiver) -> list[int] | None:
 
 
 def _require_acyclic(q: Quiver, what: str) -> None:
-    if not is_acyclic(q):
-        raise CyclicQuiverError(f"{what} requires an acyclic quiver",
-                                cycle=find_cycle(q))
+    cycle = find_cycle(q)
+    if cycle:
+        raise CyclicQuiverError(f"{what} requires an acyclic quiver", cycle=cycle)
 
 
 def iter_paths(q: Quiver, max_length: int | None = None) -> Iterator[Path]:
@@ -352,9 +356,8 @@ def _chain_counts(q: Quiver, n: int, ell: int | None = None) -> list[int]:
     from u or goes on as a k-chain from u: c_k(v) = sum over v -> u of
     c_{k-1}(u) + c_k(u), c_0 = 1. ``ell`` adds an axis of length budget.
     """
-    order = topological_order(q)
-    if order is None:
-        _require_acyclic(q, "chain enumeration")
+    _require_acyclic(q, "chain enumeration")
+    order = q._kahn[0]
     # chains are shorter than N, so a larger ell truncates nothing
     lag = 0 if ell is None or ell >= q.vertex_count else 1
     top = max(ell, 0) if lag else 0

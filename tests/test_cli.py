@@ -393,14 +393,33 @@ def test_oracle_verdict_names_a_wrong_degree(edges_file, capsys, monkeypatch):
     assert out.endswith("fast-path dim H1 = 0; matches fast path: NO (degree 2)\n")
 
 
-def test_oracle_checks_acyclicity_four_times(edges_file, capsys, monkeypatch):
+KAHN_INPUTS = {"dag": TRIANGLE_COMMUTING, "cyclic": TRIANGLE_COMMUTING + "x2,x0,1\n"}
+
+
+@pytest.mark.parametrize("graph, command, status, passes", [
+    ("dag", "oracle", 0, 1),
+    ("dag", "oracle --field float", 0, 1),
+    ("dag", "oracle --ell 2", 0, 1),
+    ("dag", "homology", 0, 1),
+    ("dag", "homology --matrix --kernel-basis", 0, 1),
+    ("dag", "homology --field float", 0, 1),
+    ("dag", "homology --dagify", 0, 1),
+    ("cyclic", "homology", 2, 1),
+    ("cyclic", "oracle", 2, 1),
+    # the input, the feedback-arc-set pass's kept arcs, the kept quiver
+    ("cyclic", "homology --dagify", 0, 3),
+    ("cyclic", "oracle --dagify", 0, 3),
+])
+def test_each_quiver_gets_one_kahn_pass(edges_file, capsys, monkeypatch,
+                                        graph, command, status, passes):
     calls = []
-    for name in ("arcs_acyclic", "topological_order"):
-        real = getattr(quiver, name)
-        monkeypatch.setattr(quiver, name, lambda *a, real=real: calls.append(1) or real(*a))
-    assert main(["oracle", edges_file(TRIANGLE_COMMUTING)]) == 0
-    assert "matches fast path: yes" in capsys.readouterr().out
-    assert len(calls) == 4
+    real = quiver._kahn_order
+    monkeypatch.setattr(quiver, "_kahn_order",
+                        lambda n, arcs: calls.append(n) or real(n, arcs))
+    name, *flags = command.split()
+    assert main([name, edges_file(KAHN_INPUTS[graph]), *flags]) == status
+    capsys.readouterr()
+    assert len(calls) == passes
 
 
 def test_oracle_guard_handles_deep_graphs(edges_file, capsys):

@@ -12,7 +12,9 @@ from quivhom import (
     Quiver,
     WeightedQuiver,
     WeightError,
+    build_chain_complex,
     count_nchains,
+    dim_h1,
     enumerate_nchains,
     enumerate_paths,
     find_cycle,
@@ -24,6 +26,7 @@ from quivhom import (
     make_path,
     topological_order,
 )
+from quivhom.quiver import _kahn_order
 from conftest import random_acyclic_weighted_quiver, random_digraph, random_multigraph
 
 TRIANGLE = Quiver(3, [(0, 1), (1, 2), (0, 2)])
@@ -91,6 +94,13 @@ def test_is_acyclic_self_loop():
     assert find_cycle(q) == [0, 0]
 
 
+# random quivers with self-loops, both acyclic and cyclic ones common
+SOME_CYCLIC = pytest.mark.parametrize("draw", [
+    random_multigraph,
+    lambda rng: random_digraph(rng, max_vertices=20, max_arrows=30, self_loops=True),
+], ids=["multigraph", "digraph"])
+
+
 def test_is_acyclic_agrees_with_topological_order():
     rng = random.Random(71)
     outcomes = set()
@@ -102,10 +112,7 @@ def test_is_acyclic_agrees_with_topological_order():
     assert outcomes == {True, False}
 
 
-@pytest.mark.parametrize("draw", [
-    random_multigraph,
-    lambda rng: random_digraph(rng, max_vertices=20, max_arrows=30, self_loops=True),
-], ids=["multigraph", "digraph"])
+@SOME_CYCLIC
 def test_find_cycle_and_topological_order_agree_with_is_acyclic(draw):
     rng = random.Random(28)
     outcomes = set()
@@ -128,6 +135,37 @@ def test_find_cycle_and_topological_order_agree_with_is_acyclic(draw):
             assert all(place[s] < place[t] for s, t in q.arrows)
         else:
             assert order is None
+    assert outcomes == {True, False}
+
+
+@SOME_CYCLIC
+def test_cached_kahn_pass_matches_a_fresh_one_and_survives_mutation(draw):
+    # every answer reads one pass cached on the quiver; no caller may see
+    # or change the cached lists
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(300):
+        wq = draw(rng)
+        q = wq.quiver
+        order, _ = _kahn_order(q.vertex_count, q.arrows)
+        acyclic = len(order) == q.vertex_count
+        outcomes.add(acyclic)
+        cycle = find_cycle(Quiver(q.vertex_count, q.arrows))
+        for _ in range(2):
+            assert is_acyclic(q) == acyclic
+            assert topological_order(q) == (order if acyclic else None)
+            assert find_cycle(q) == cycle
+            if acyclic:
+                count_nchains(q, 2)
+                topological_order(q).reverse()
+            else:
+                for call in (lambda: build_chain_complex(wq), lambda: dim_h1(wq),
+                             lambda: count_nchains(q, 2)):
+                    with pytest.raises(CyclicQuiverError) as err:
+                        call()
+                    assert err.value.cycle == cycle
+                    err.value.cycle.reverse()
+                find_cycle(q).append(-1)
     assert outcomes == {True, False}
 
 
