@@ -46,6 +46,15 @@ def berger_shor_arcs(
     order. The kept arcs pass one acyclicity check, which raises
     ``InvariantError`` if they close a cycle.
     """
+    kept, perm, _ = _berger_shor_kahn(n, arcs, seed)
+    return kept, perm
+
+
+def _berger_shor_kahn(
+    n: int, arcs: Sequence[tuple[int, int]], seed: int
+) -> tuple[list[int], list[int], tuple[list[int], None]]:
+    """``berger_shor_arcs`` plus the Kahn pass of its acyclicity check,
+    run on the kept arcs in ascending order."""
     perm = list(range(n))
     random.Random(seed).shuffle(perm)
     pos = [0] * n
@@ -63,23 +72,26 @@ def berger_shor_arcs(
         if (pos[s] < pos[t] and cout[s] >= cin[s])
         or (pos[s] > pos[t] and cin[t] > cout[t])
     ]
-    if not arcs_acyclic(n, [arcs[a] for a in kept]):
+    kahn = arcs_acyclic(n, [arcs[a] for a in kept])
+    if not kahn:
         raise InvariantError("feedback-arc-set pass kept a cycle")
-    return kept, perm
+    return kept, perm, kahn
 
 
 def berger_shor(wq: WeightedQuiver, seed: int) -> FasResult:
     """Run the randomized feedback-arc-set pass with the given seed.
 
     Deterministic for a fixed (input, seed); the kept quiver is always
-    acyclic and keeps at least half of the non-loop arcs.
+    acyclic and keeps at least half of the non-loop arcs. Its cached Kahn
+    pass is the one the acyclicity check ran, on the same arcs in the
+    same order, so asking whether it is acyclic runs no second pass.
     """
     q = wq.quiver
-    kept_arrows, perm = berger_shor_arcs(q.vertex_count, q.arrows, seed)
+    kept_arrows, perm, kahn = _berger_shor_kahn(q.vertex_count, q.arrows, seed)
     arrows, weights = q.arrows, wq.weights
     # a subset of a checked quiver's arrows and weights is checked too
     kept = WeightedQuiver._trusted(
-        Quiver._trusted(q.vertex_count, tuple([arrows[a] for a in kept_arrows])),
+        Quiver._trusted(q.vertex_count, tuple([arrows[a] for a in kept_arrows]), kahn),
         tuple([weights[a] for a in kept_arrows]),
     )
     dropped = bytearray(b"\1") * q.arrow_count

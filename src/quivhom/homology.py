@@ -17,16 +17,17 @@ it and homology_dims ranks it.
 * The untruncated complex (the oracle) recomputes the same homology from
   first principles in every degree and cross-checks the fast path.
 
-Every matrix here (boundaries and chain maps) is assembled by one helper
-that expands each cell's faces into sparse scalar columns {row: coeff},
-whatever the coefficient dimension. The chain complex keeps its
-boundaries as those columns: boundary-of-boundary == 0 is checked on
-them, homology_dims ranks them and h1_kernel_basis eliminates them. In
-exact mode both the check and the rank turn each column into its integer
-form (a primitive int vector and a rational scale, linalg._integer_form),
-so neither does Fraction arithmetic. A DenseMatrix is built only by
-``ChainComplexSlice.boundaries`` (which boundary1_matrix and the tests
-read) and by chain maps.
+An exact chain complex is built once, as integers: each boundary column
+is a sparse {row: int} dict p over an int denominator m (column = p / m),
+read off the integer form of the first part's action at the d0 face and
++-m at every other face. boundary-of-boundary == 0 is checked on those
+ints and homology_dims ranks copies of them, so neither does Fraction
+arithmetic. ``ChainComplexSlice.columns`` derives the {row: coeff} values
+on first access, for h1_kernel_basis, ``homology --matrix`` and
+``boundaries``. Float complexes and chain maps are assembled by one
+helper that expands each cell's faces into sparse scalar columns. A
+DenseMatrix is built only by ``ChainComplexSlice.boundaries`` (which
+boundary1_matrix and the tests read) and by chain maps.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Iterable, Sequence
+from math import gcd, lcm
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     FieldModeError,
@@ -47,7 +48,6 @@ from .linalg import (
     EXACT,
     FLOAT,
     DenseMatrix,
-    _integer_dicts,
     _integer_form,
     _kernel_sparse,
     _rank_sparse,
@@ -287,12 +287,14 @@ class ChainComplexSlice:
     twisted by the action of the weight of its first morphism; middle
     faces compose consecutive morphisms with alternating signs; the last
     face drops the final morphism.
-    ``columns[n]`` holds boundary n (degree n to degree n-1; index 0 is
-    empty) as sparse scalar columns {row: coeff}, one per chain x
-    coordinate, which homology_dims ranks directly. Exact coefficients
-    are Fractions, except identity coefficients, which are the ints +1
-    and -1; the integer forms that the boundary-squared check and the
-    rank use are derived from the columns and not kept.
+
+    ``stored_columns[n]`` holds boundary n (degree n to degree n-1; index
+    0 is empty) as sparse scalar columns, one per chain x coordinate: in
+    exact mode int dicts p, column j being p / ``denominators[n][j]``; in
+    float mode float dicts, with ``denominators`` None. The
+    boundary-squared check and homology_dims read them. ``columns[n]``
+    holds the values, {row: coeff}, in either mode (exact entries are p / m,
+    an int where m is 1), derived on first access and cached.
     ``boundaries[n]`` is the same map as a DenseMatrix (index 0 is None),
     densified on first access and cached.
     """
@@ -303,7 +305,18 @@ class ChainComplexSlice:
     ell: int | None
     chain_ids: tuple
     paths: tuple
-    columns: tuple
+    stored_columns: tuple
+    denominators: tuple | None
+
+    @cached_property
+    def columns(self) -> tuple:
+        if self.denominators is None:
+            return self.stored_columns
+        return tuple(
+            [dict(p) if m == 1 else {r: Fraction(x, m) for r, x in p.items()}
+             for p, m in zip(ints, dens)]
+            for ints, dens in zip(self.stored_columns, self.denominators)
+        )
 
     @cached_property
     def bases(self) -> tuple:
@@ -331,11 +344,12 @@ def build_chain_complex(
     ell: int | None = None,
 ) -> ChainComplexSlice:
     """Enumerate chain bases up to degree n_max and assemble every boundary
-    as sparse scalar columns; boundary-of-boundary == 0 is verified on
-    those columns, in integers when exact. No dense matrix is built here:
-    ``boundaries`` densifies on first access. Chains are tuples of path
-    positions, so faces are slices; NChains are built only when ``bases``
-    is read."""
+    as sparse columns: ints over a per-column denominator in exact mode
+    (_integer_columns), floats in float mode (_scalar_columns).
+    boundary-of-boundary == 0 is verified on those stored columns, in
+    integers when exact. No dense matrix is built here: ``boundaries``
+    densifies on first access. Chains are tuples of path positions, so
+    faces are slices; NChains are built only when ``bases`` is read."""
     rep = rep or scalar_representation()
     _require_acyclic(wq.quiver, "weighted quiver homology")
     if n_max < 1:
@@ -346,46 +360,68 @@ def build_chain_complex(
     ids = [list(range(q.vertex_count)), *_chain_levels(paths, n_max, ell)]
     position = {p.arrows: i for i, p in enumerate(paths)}
     composite: dict[tuple[int, int], int] = {}
-    weights: list[Fraction] = []  # each path's weight: w(prefix) * w(last arrow)
-    acts = []  # the action of each path's weight
+    d = rep.dim
+    exact = rep.mode == EXACT
+    # each path's weight, w(prefix) * w(last arrow), as a lowest-terms
+    # (numerator, denominator) pair, which hashes faster than a Fraction,
+    # and the action of each path's weight (as _action_forms when exact)
+    pairs: list[tuple[int, int]] = []
+    by_weight: dict[tuple[int, int], list | DenseMatrix] = {}
+    coeffs = []
     for p in paths:
         a = p.arrows
         w = wq.weights[a[-1]]
+        num, den = w.numerator, w.denominator
         if len(a) > 1:  # a prefix comes before its extensions in paths
-            w = weights[position[a[:-1]]] * w
-        weights.append(w)
-        act = actions.get(w)
-        if act is None:
-            act = actions[w] = rep.action(w)
-        acts.append(act)
+            pn, pd = pairs[position[a[:-1]]]
+            g, h = gcd(pn, den), gcd(num, pd)
+            num, den = (pn // g) * (num // h), (pd // h) * (den // g)
+        key = num, den
+        pairs.append(key)
+        coeff = by_weight.get(key)
+        if coeff is None:
+            w = Fraction(num, den)
+            act = actions.get(w) or rep.action(w)
+            coeff = by_weight[key] = _action_forms(act, d) if exact else act
+        coeffs.append(coeff)
 
-    def faces(c: tuple[int, ...], row: dict) -> list:
-        # d0 is twisted by the action of the first part
-        out = [(row[c[1:]], 1, acts[c[0]])]
-        sign = -1
-        for m in range(1, len(c)):
-            k = composite.get(c[m - 1:m + 1])
-            if k is None:
-                k = composite[c[m - 1:m + 1]] = position[
-                    paths[c[m - 1]].arrows + paths[c[m]].arrows]
-            out.append((row[c[:m - 1] + (k,) + c[m + 1:]], sign, None))
-            sign = -sign
-        out.append((row[c[:-1]], sign, None))
-        return out
+    def faces(n: int) -> Iterator[tuple[int, int, list[int]]]:
+        # (first part, d0 row block, the other faces' row blocks) of each
+        # degree-n chain; the face after d0 at position k has sign (-1)^(k+1)
+        if n == 1:
+            for (i,) in ids[1]:
+                yield i, paths[i].target, [paths[i].source]
+            return
+        row = {c: r for r, c in enumerate(ids[n - 1])}
+        for c in ids[n]:
+            rows = []
+            for m in range(1, len(c)):
+                k = composite.get(c[m - 1:m + 1])
+                if k is None:
+                    k = composite[c[m - 1:m + 1]] = position[
+                        paths[c[m - 1]].arrows + paths[c[m]].arrows]
+                rows.append(row[c[:m - 1] + (k,) + c[m + 1:]])
+            rows.append(row[c[:-1]])
+            yield c[0], row[c[1:]], rows
 
     # truncation closure: faces never gain composite length, so a missing
     # face would mean a broken basis
-    columns: list[list[dict]] = [[]]
-    for n in range(1, n_max + 1):
-        if n == 1:
-            cells = ([(paths[i].target, 1, acts[i]), (paths[i].source, -1, None)]
-                     for (i,) in ids[1])
-        else:
-            row = {c: r for r, c in enumerate(ids[n - 1])}
-            cells = (faces(c, row) for c in ids[n])
-        columns.append(_scalar_columns(cells, rep.dim, rep.mode))
-
-    _verify_square_zero(columns, rep.dim, rep.mode)
+    stored: list[list[dict]] = [[]]
+    denominators: list[list[int]] | None = None
+    if exact:
+        denominators = [[]]
+        for n in range(1, n_max + 1):
+            ints, dens = _integer_columns(faces(n), coeffs, d)
+            stored.append(ints)
+            denominators.append(dens)
+        _raise_square_nonzero(_exact_square_nonzero(stored, denominators), d)
+    else:
+        for n in range(1, n_max + 1):
+            cells = ([(r0, 1, coeffs[i]), *((r, -1 if k % 2 == 0 else 1, None)
+                                           for k, r in enumerate(rows))]
+                     for i, r0, rows in faces(n))
+            stored.append(_scalar_columns(cells, d, FLOAT))
+        _verify_square_zero(stored, d, FLOAT)
 
     return ChainComplexSlice(
         wq=wq,
@@ -394,58 +430,103 @@ def build_chain_complex(
         ell=ell,
         chain_ids=tuple(ids),
         paths=tuple(paths),
-        columns=tuple(columns),
+        stored_columns=tuple(stored),
+        denominators=None if denominators is None else tuple(denominators),
     )
+
+
+def _action_forms(act: DenseMatrix, d: int) -> list[tuple[list[tuple[int, int]], int, int]]:
+    """Per coordinate c, column c of an exact d x d action as integers:
+    (its nonzero entries as (row, int), m, -m), the column being the ints
+    over m, the lcm of its denominators."""
+    out = []
+    for c in range(d):
+        col = [(r, x) for r in range(d) if (x := act.entries[r * d + c])]
+        m = lcm(*(x.denominator for _, x in col))
+        out.append(([(r, x.numerator * (m // x.denominator)) for r, x in col], m, -m))
+    return out
+
+
+def _integer_columns(
+    faces: Iterable[tuple[int, int, list[int]]], forms: list, d: int
+) -> tuple[list[dict[int, int]], list[int]]:
+    """The exact boundary columns of the given cells as integers: per cell
+    and coordinate c, {row: int} p and the int m with column = p / m.
+
+    Only the d0 face carries an action, so column c of a cell is column c
+    of its first part's action (``forms``, from _action_forms) at the d0
+    row block, plus -m, +m, -m, ... at coordinate c of the other faces'
+    row blocks. Entries that land on one row are summed and zeros are
+    dropped. No Fraction arithmetic is done.
+    """
+    ints: list[dict[int, int]] = []
+    dens: list[int] = []
+    for i, r0, rows in faces:
+        for c, (entries, m, neg) in enumerate(forms[i]):
+            # coordinate r of row block b is row b * d + r; at d = 1 the
+            # block's own int is the key, not a new int per entry
+            col = {}
+            for r, x in entries:
+                col[r0 * d + r if d > 1 else r0] = x
+            x = neg
+            for r in rows:
+                if d > 1:
+                    r = r * d + c
+                col[r] = col[r] + x if r in col else x
+                x = m if x is neg else neg
+            if 0 in col.values():
+                col = {r: x for r, x in col.items() if x}
+            ints.append(col)
+            dens.append(m)
+    return ints, dens
 
 
 def _verify_square_zero(sparse: list[list[dict]], d: int, mode: str) -> None:
     """Check boundary(n-1) @ boundary(n) == 0 on the scalar columns.
 
-    Exact mode works on integers only (_exact_square_nonzero) and demands
-    literal zeros. Float mode allows rounding noise (float(a)*float(b)
-    need not equal float(a*b)): each residue may be up to 1e-9 times the
-    sum of the |products| summed into its row, while a broken face map
-    leaves one as large as its terms. The error names the degree and the
-    chain whose column fails."""
-    bad = _float_square_nonzero(sparse) if mode == FLOAT else _exact_square_nonzero(sparse)
+    Exact mode runs _exact_square_nonzero on the columns' integer forms
+    (linalg._integer_form) and demands literal zeros. Float mode allows
+    rounding noise (float(a)*float(b) need not equal float(a*b)): each
+    residue may be up to 1e-9 times the sum of the |products| summed into
+    its row, while a broken face map leaves one as large as its terms. The
+    error names the degree and the chain whose column fails."""
+    if mode == FLOAT:
+        bad = _float_square_nonzero(sparse)
+    else:
+        forms = [[_integer_form(col) for col in level] for level in sparse]
+        bad = _exact_square_nonzero([[p for p, _ in level] for level in forms],
+                                    [[m for _, m in level] for level in forms])
+    _raise_square_nonzero(bad, d)
+
+
+def _raise_square_nonzero(bad: tuple[int, int] | None, d: int) -> None:
     if bad is not None:
         n, j = bad
         raise InvariantError(f"boundary squared nonzero at degree {n}, column {j // d}")
 
 
-def _exact_square_nonzero(sparse: list[list[dict]]) -> tuple[int, int] | None:
+def _exact_square_nonzero(
+    ints: Sequence[Sequence[dict[int, int]]], dens: Sequence[Sequence[int]]
+) -> tuple[int, int] | None:
     """The first (degree n, column j) with boundary(n-1) applied to column
     j of boundary(n) nonzero, or None, with no Fraction arithmetic.
 
-    Every exact column is (g / m) * p for its integer form (p, g, m) from
-    _integer_form. With column j of boundary n equal to (g_j / m_j) * p_j
-    and M the lcm of the m_i over the support of p_j, boundary(n-1) maps
-    it to zero exactly when the sum over i of p_j[i] * g_i * (M / m_i) * p_i
-    is zero, a sum of ints. The scale is per column, so the integers stay
-    as small as the columns' own. Integer forms are held for two degrees
-    at a time: all of degree n - 1 and the part of degree n built so far
-    (none for the top degree, whose forms nothing reads)."""
-    if len(sparse) < 3:
-        return None
-    below = [_integer_form(col) for col in sparse[1]]
-    for n in range(2, len(sparse)):
-        keep = n + 1 < len(sparse)
-        forms = []
-        for j, col in enumerate(sparse[n]):
-            form = _integer_form(col)
-            p = form[0]
-            big = lcm(*(below[i][2] for i in p))
+    Column j of boundary n is ints[n][j] / dens[n][j]. With p_j that
+    column's ints and M the lcm of the m_i = dens[n-1][i] over the support
+    of p_j, boundary(n-1) maps it to zero exactly when the sum over i of
+    p_j[i] * (M / m_i) * ints[n-1][i] is zero, a sum of ints. The scale is
+    per column, so the integers stay as small as the columns' own."""
+    for n in range(2, len(ints)):
+        below, scale = ints[n - 1], dens[n - 1]
+        for j, p in enumerate(ints[n]):
+            big = lcm(*(scale[i] for i in p))
             acc: dict[int, int] = {}
             for i, x in p.items():
-                q, g, m = below[i]
-                f = x * g * (big // m)
-                for r, y in q.items():
+                f = x * (big // scale[i])
+                for r, y in below[i].items():
                     acc[r] = acc[r] + f * y if r in acc else f * y
             if any(acc.values()):
                 return n, j
-            if keep:
-                forms.append(form)
-        below = forms
     return None
 
 
@@ -472,16 +553,17 @@ def homology_dims(c: ChainComplexSlice, tol: float = 1e-9) -> list[int]:
     """dim H_n for n = 0..n_max-1.
 
     H_n = (nullity of boundary n) - (rank of boundary n+1), with the
-    degree-0 boundary the zero map. Each degree's sparse columns are
+    degree-0 boundary the zero map. Each degree's stored columns are
     ranked directly, fed in as the rows of the transpose (rank A =
-    rank A^T), so no dense matrix is built: exact columns through
-    _integer_dicts, float columns as copies, with ``tol``.
+    rank A^T), so no dense matrix is built: copies of the nonempty exact
+    integer columns (the denominators do not change a rank), or copies of
+    the float columns, with ``tol``.
     """
     d = c.rep.dim
     exact = c.rep.mode == EXACT
-    ranks = [0] + [_rank_sparse(_integer_dicts(cols)) if exact
+    ranks = [0] + [_rank_sparse([dict(p) for p in cols if p]) if exact
                    else _rank_sparse(list(map(dict, cols)), tol)
-                   for cols in c.columns[1:]]
+                   for cols in c.stored_columns[1:]]
     dims: list[int] = []
     for n in range(c.n_max):
         kernel = len(c.chain_ids[n]) * d - ranks[n]

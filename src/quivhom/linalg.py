@@ -167,26 +167,27 @@ def _integer_dicts(vectors: Iterable[dict]) -> list[dict[int, int]]:
     """Sparse rational vectors {index: value} (Fraction or int values, no
     zeros) as new sparse {index: int} dicts, empty ones skipped.
 
-    Each vector is replaced by its primitive form from _integer_form
-    (scaling preserves rank), which keeps the elimination's integers
-    small. The inputs are not modified.
+    Each vector is replaced by its integer form from _integer_form divided
+    by the gcd of its entries (scaling preserves rank), which keeps the
+    elimination's integers small. The inputs are not modified.
     """
-    return [_integer_form(nz)[0] for nz in vectors if nz]
+    out = []
+    for nz in vectors:
+        if nz:
+            p, _ = _integer_form(nz)
+            g = gcd(*p.values())
+            out.append({j: x // g for j, x in p.items()} if g > 1 else p)
+    return out
 
 
-def _integer_form(nz: dict) -> tuple[dict[int, int], int, int]:
+def _integer_form(nz: dict) -> tuple[dict[int, int], int]:
     """A sparse rational vector {index: value} (Fraction or int values, no
-    zeros) as (p, g, m) with nz == (g / m) * p: m is the lcm of the
-    denominators, g the gcd of the cleared numerators, so g / m is in
-    lowest terms and p is a new primitive {index: int} dict. The empty
-    vector gives ({}, 0, 1). No Fraction arithmetic is done.
+    zeros) as (p, m) with nz == p / m: m is the lcm of the denominators
+    and p a new {index: int} dict. The empty vector gives ({}, 1). No
+    Fraction arithmetic is done.
     """
     m = lcm(*(x.denominator for x in nz.values()))
-    p = {j: x.numerator * (m // x.denominator) for j, x in nz.items()}
-    g = gcd(*p.values())
-    if g > 1:
-        p = {j: x // g for j, x in p.items()}
-    return p, g, m
+    return {j: x.numerator * (m // x.denominator) for j, x in nz.items()}, m
 
 
 def _rank_sparse(sparse: list[dict], tol: float | None = None) -> int:

@@ -33,15 +33,24 @@ class Quiver:
                 raise ValueError(f"arrow {i}: endpoint ({s}, {t}) out of range")
 
     @classmethod
-    def _trusted(cls, vertex_count: int, arrows: tuple[tuple[int, int], ...]) -> Quiver:
+    def _trusted(
+        cls,
+        vertex_count: int,
+        arrows: tuple[tuple[int, int], ...],
+        kahn: tuple[list[int], list[int] | None] | None = None,
+    ) -> Quiver:
         """A quiver built without the checks of ``__init__``.
 
         Only for arrows that are, by construction, a tuple of int pairs
-        within 0..vertex_count-1; the tuple is stored as given.
+        within 0..vertex_count-1; the tuple is stored as given. ``kahn``,
+        when given, is ``_kahn_order`` of these arrows in this order, and
+        seeds the ``_kahn`` cache so the pass is not run again.
         """
         q = object.__new__(cls)
         object.__setattr__(q, "vertex_count", vertex_count)
         object.__setattr__(q, "arrows", arrows)
+        if kahn is not None:
+            q.__dict__["_kahn"] = kahn
         return q
 
     @property
@@ -71,9 +80,10 @@ class Quiver:
         return tuple(tuple(t) for t in out)
 
     @cached_property
-    def _kahn(self) -> tuple[list[int], list[int]]:
+    def _kahn(self) -> tuple[list[int], list[int] | None]:
         """The one Kahn pass over the arrows (``_kahn_order``): the removal
-        order and the in-degrees left. Readers never mutate either list."""
+        order, and the in-degrees left on a cyclic quiver (None on an
+        acyclic one). Readers never mutate either list."""
         return _kahn_order(self.vertex_count, self.arrows)
 
 
@@ -190,9 +200,13 @@ def make_nchain(parts: Sequence[Path]) -> NChain:
     return NChain(tuple(parts))
 
 
-def _kahn_order(n: int, arcs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
+def _kahn_order(
+    n: int, arcs: Iterable[tuple[int, int]]
+) -> tuple[list[int], list[int] | None]:
     """Kahn's algorithm on the arcs over vertices 0..n-1: the vertices it
-    can remove, in removal order, and the in-degrees it leaves.
+    can remove, in removal order, and the in-degrees it leaves, or None in
+    their place when it removes every vertex (only ``find_cycle`` reads
+    them, and only on a cyclic quiver).
 
     The sources come first, ascending; then each vertex joins the end of
     the list as its last predecessor is removed, so the list grows while it
@@ -211,7 +225,7 @@ def _kahn_order(n: int, arcs: Iterable[tuple[int, int]]) -> tuple[list[int], lis
             indeg[t] -= 1
             if indeg[t] == 0:
                 order.append(t)
-    return order, indeg
+    return order, None if len(order) == n else indeg
 
 
 def topological_order(q: Quiver) -> list[int] | None:
@@ -226,10 +240,16 @@ def topological_order(q: Quiver) -> list[int] | None:
     return order[:] if len(order) == q.vertex_count else None
 
 
-def arcs_acyclic(n: int, arcs: Sequence[tuple[int, int]]) -> bool:
-    """True iff the arcs on vertices 0..n-1 form no directed cycle
-    (self-loops count): Kahn's algorithm removes every vertex."""
-    return len(_kahn_order(n, arcs)[0]) == n
+def arcs_acyclic(
+    n: int, arcs: Sequence[tuple[int, int]]
+) -> tuple[list[int], None] | None:
+    """The Kahn pass (``_kahn_order``) of the arcs on vertices 0..n-1 if
+    they form no directed cycle (self-loops count), else None. The pass is
+    a nonempty tuple, so the result tests true exactly when the arcs are
+    acyclic, and it can seed the ``_kahn`` cache of a quiver on the same
+    arcs in the same order."""
+    kahn = _kahn_order(n, arcs)
+    return kahn if kahn[1] is None else None
 
 
 def is_acyclic(q: Quiver) -> bool:

@@ -7,6 +7,7 @@ from fractions import Fraction
 from quivhom import Quiver, WeightedQuiver, berger_shor, is_acyclic, to_dag
 from quivhom.cli import main
 from quivhom.fas import berger_shor_arcs
+from quivhom.quiver import _kahn_order
 from conftest import random_digraph, random_multigraph
 
 
@@ -97,6 +98,20 @@ def test_kept_and_feedback_equal_their_public_rebuild():
                 wq.vertex_count, [arrows[a] for a in kept]).out_arrows
             assert type(res.feedback) is frozenset
             assert res.feedback == frozenset(range(wq.arrow_count)) - set(kept)
+
+
+def test_kept_quiver_reuses_the_kahn_pass_of_its_acyclicity_check():
+    # the check's pass seeds the kept quiver's cache; it must equal a fresh
+    # pass on the kept arrows, and an acyclic pass keeps no in-degrees
+    rng = random.Random(31)
+    for _ in range(200):
+        wq = random_multigraph(rng)
+        for seed in (0, 5):
+            kept = berger_shor(wq, seed).kept.quiver
+            assert "_kahn" in vars(kept)
+            assert vars(kept)["_kahn"] == _kahn_order(kept.vertex_count, kept.arrows)
+            assert vars(kept)["_kahn"][1] is None
+            assert is_acyclic(kept)
 
 
 def test_bound_with_self_loops_counts_non_loop_arcs():

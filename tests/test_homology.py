@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -277,6 +278,19 @@ def test_integer_square_zero_check_matches_fraction_reference(weights):
     assert caught >= 10
 
 
+def _refuse_fraction_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+                 "__mod__", "__rmod__", "__pow__", "__rpow__", "__neg__", "__pos__",
+                 "__abs__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    with pytest.raises(AssertionError, match="Fraction arithmetic"):
+        Fraction(1, 2) * 3
+
+
 def test_exact_square_zero_check_does_no_fraction_arithmetic(monkeypatch):
     rng = random.Random(77)
     complexes = []
@@ -289,21 +303,81 @@ def test_exact_square_zero_check_does_no_fraction_arithmetic(monkeypatch):
                               rep.dim))
     broken = [list(map(dict, level)) for level in build_chain_complex(triangle(2, 3, 6)).columns]
     broken[1][2][2] = broken[1][2][2] + 1  # the path 1 -> 2 now acts by 4, not 3
-
-    def refuse(*args):
-        raise AssertionError("Fraction arithmetic")
-
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                 "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
-                 "__mod__", "__rmod__", "__pow__", "__rpow__", "__neg__", "__pos__",
-                 "__abs__"):
-        monkeypatch.setattr(Fraction, name, refuse)
-    with pytest.raises(AssertionError, match="Fraction arithmetic"):
-        Fraction(1, 2) * 3
+    _refuse_fraction_arithmetic(monkeypatch)
     for cols, d in complexes:
         homology._verify_square_zero(cols, d, EXACT)
     with pytest.raises(InvariantError, match="at degree 2, column 0$"):
         homology._verify_square_zero(broken, 1, EXACT)
+
+
+# actions that are not multiplicative: a composite path's entry is
+# w_a w_b + 1, not (w_a + 1)(w_b + 1), and can be 0
+NONMULTIPLICATIVE_REPS = [
+    Representation(1, lambda w: DenseMatrix.from_rows([[w + 1]])),
+    Representation(2, lambda w: DenseMatrix.from_rows([[w, 0], [0, w + 1]])),
+]
+STORAGE_REPS = [
+    scalar_representation(),
+    Representation(2, lambda w: DenseMatrix.from_rows([[w, 0], [0, w * w]])),
+    *NONMULTIPLICATIVE_REPS,
+]
+
+
+def _stored_complexes(weights):
+    """Exact complexes of seeded DAGs, in each of STORAGE_REPS at ell = 1,
+    2 and None: up to degree 3, or up to degree 1 where the action is not
+    multiplicative and chains compose (boundary squared is not zero
+    there). Weight -1 would make w + 1 singular, so it is not drawn."""
+    rng = random.Random(5151)
+    extreme = [w for w in EXTREME_WEIGHTS if w != -1]
+    out = []
+    for _ in range(8):
+        shape = random_acyclic_weighted_quiver(rng, max_vertices=6, max_arrows=10)
+        draw = ((lambda: rng.choice(extreme)) if weights == "extreme"
+                else (lambda: _draw_64_bit(rng)))
+        wq = WeightedQuiver(shape.quiver, [draw() for _ in shape.weights])
+        for rep in STORAGE_REPS:
+            for ell in (1, 2, None):
+                top = 1 if rep in NONMULTIPLICATIVE_REPS and ell != 1 else 3
+                out.append(build_chain_complex(wq, rep, top, ell))
+    # 2 * (-1/2) = -1, so [[w + 1]] acts on the composite path by 0
+    wq = WeightedQuiver(Quiver(3, [(0, 1), (1, 2)]), [2, Fraction(-1, 2)])
+    out.append(build_chain_complex(wq, NONMULTIPLICATIVE_REPS[0], 1))
+    return out
+
+
+@pytest.mark.parametrize("weights", ["extreme", "64-bit"])
+def test_stored_integer_columns_match_the_derived_columns(weights):
+    # column j of boundary n is stored_columns[n][j] / denominators[n][j];
+    # ``columns`` holds those values, and homology_dims ranks the ints
+    # without changing them
+    complexes = _stored_complexes(weights)
+    for c in complexes:
+        for n in range(1, c.n_max + 1):
+            ints, dens = c.stored_columns[n], c.denominators[n]
+            assert len(ints) == len(dens) == len(c.columns[n])
+            for col, p, m in zip(c.columns[n], ints, dens):
+                assert {type(x) for x in p.values()} <= {int} and type(m) is int
+                assert 0 not in p.values() and m > 0
+                assert col == {r: Fraction(x, m) for r, x in p.items()}
+        before = deepcopy((c.stored_columns, c.denominators))
+        dims = homology_dims(c)
+        assert homology_dims(c) == dims
+        assert (c.stored_columns, c.denominators) == before
+        ranks = [0] + [b.rank() for b in c.boundaries[1:]]
+        sizes = c.basis_sizes()
+        assert dims == [sizes[n] * c.rep.dim - ranks[n] - ranks[n + 1]
+                        for n in range(c.n_max)]
+    # the composite path's column keeps only its source entry
+    assert sorted(map(len, complexes[-1].columns[1])) == [1, 2, 2]
+
+
+@pytest.mark.parametrize("weights", ["extreme", "64-bit"])
+def test_exact_homology_dims_does_no_fraction_arithmetic(weights, monkeypatch):
+    complexes = _stored_complexes(weights)
+    want = [homology_dims(c) for c in complexes]
+    _refuse_fraction_arithmetic(monkeypatch)
+    assert [homology_dims(c) for c in complexes] == want
 
 
 def test_saturated_truncation_equals_full_complex():

@@ -169,6 +169,22 @@ def test_cached_kahn_pass_matches_a_fresh_one_and_survives_mutation(draw):
     assert outcomes == {True, False}
 
 
+@SOME_CYCLIC
+def test_kahn_pass_keeps_in_degrees_only_for_cyclic_quivers(draw):
+    # find_cycle reads the in-degrees left, and only on a cyclic quiver
+    rng = random.Random(30)
+    outcomes = set()
+    for _ in range(200):
+        q = draw(rng).quiver
+        order, indeg = q._kahn
+        acyclic = is_acyclic(q)
+        outcomes.add(acyclic)
+        assert (indeg is None) == acyclic
+        if not acyclic:
+            assert len(indeg) == q.vertex_count and any(indeg)
+    assert outcomes == {True, False}
+
+
 def test_enumerate_paths_triangle():
     paths = enumerate_paths(TRIANGLE)
     assert len(paths) == 4
